@@ -15,11 +15,10 @@ keyed by (pair_id, variant, invocation) for idempotent resume.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import platform
 import subprocess
-import sys
-import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -27,7 +26,10 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from idiobench import child
 from idiobench.synth import CodePair, wrap_scope
+
+log = logging.getLogger(__name__)
 
 NON_IDIOMATIC = "NonIdiomatic"
 IDIOMATIC = "Idiomatic"
@@ -101,9 +103,7 @@ class TimingMatrix:
 
 
 def resolve_interpreter(cfg: BenchConfig | None = None) -> str:
-    if cfg is not None and cfg.interpreter:
-        return cfg.interpreter
-    return os.environ.get("TARGET_INTERPRETER", sys.executable)
+    return child.resolve_interpreter(cfg.interpreter if cfg is not None else None)
 
 
 def _child_env(scrub: bool) -> dict[str, str]:
@@ -122,21 +122,20 @@ def _child_env(scrub: bool) -> dict[str, str]:
 
 @lru_cache(maxsize=8)
 def interpreter_id(interpreter: str) -> str:
-    out = subprocess.run(
-        [
-            interpreter,
-            "-I",
-            "-c",
-            "import platform, sys; "
-            "print(platform.python_implementation().lower() + '-' + platform.python_version())",
-        ],
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
-    if out.returncode != 0:
-        raise ChildCrash(f"interpreter probe failed: {out.stderr.strip()[-300:]}")
-    return out.stdout.strip()
+    try:
+        ident, _ = child.exec_json(
+            [
+                interpreter,
+                "-I",
+                "-c",
+                "import json, platform; print(json.dumps("
+                "platform.python_implementation().lower() + '-' + platform.python_version()))",
+            ],
+            timeout=30,
+        )
+    except child.ChildError as exc:
+        raise ChildCrash(f"interpreter probe failed: {exc}") from exc
+    return ident
 
 
 def host_id() -> str:
@@ -153,26 +152,15 @@ def run_invocation(
         the child's process id (distinct per invocation by construction).
     """
     try:
-        proc = subprocess.Popen(
+        return child.exec_json(
             [interpreter, "-I", "-S", "-c", module_source],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
+            timeout=cfg.timeout_s,
             env=_child_env(cfg.scrub_env),
         )
-        pid = proc.pid
-        stdout, stderr = proc.communicate(timeout=cfg.timeout_s)
     except subprocess.TimeoutExpired as exc:
-        proc.kill()
-        proc.communicate()
         raise InvocationTimeout(f"invocation exceeded {cfg.timeout_s}s") from exc
-    if proc.returncode != 0:
-        raise ChildCrash(f"child exited {proc.returncode}: {stderr.strip()[-500:]}")
-    try:
-        record = json.loads(stdout.strip().splitlines()[-1])
-    except (ValueError, IndexError) as exc:
-        raise ChildCrash(f"unreadable child output: {stdout[-200:]!r}") from exc
-    return record, pid
+    except child.ChildError as exc:
+        raise ChildCrash(f"child {exc}") from exc
 
 
 # ============================================================
@@ -186,6 +174,11 @@ class TimingStore:
     Records carry ``kind``: ``invocation`` rows hold one per-iteration
     duration grid row; ``calibration`` rows pin the repetition count a
     pair was amplified with, so resumed runs reuse it.
+
+    A process killed mid-append leaves a final line without its newline.
+    Loading drops such a torn line from the file, with a warning, so that
+    a resumed run measures that record again; a malformed line anywhere
+    else raises.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -193,11 +186,18 @@ class TimingStore:
         self._invocations: dict[tuple[str, str, int], dict[str, Any]] = {}
         self._calibrations: dict[str, int] = {}
         if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        self._ingest(json.loads(line))
+            self._load()
+
+    def _load(self) -> None:
+        data = self.path.read_bytes()
+        body, _, torn = data.rpartition(b"\n")
+        for line in body.split(b"\n"):
+            if line.strip():
+                self._ingest(json.loads(line))
+        if torn:
+            log.warning("%s: dropping a torn final line (%d bytes)", self.path, len(torn))
+            with self.path.open("r+b") as fh:
+                fh.truncate(len(data) - len(torn))
 
     def _ingest(self, record: dict[str, Any]) -> None:
         kind = record.get("kind", "invocation")
@@ -333,17 +333,17 @@ def measure(
     cfg = cfg or BenchConfig()
     if not pair.idiomatic_source.strip():
         raise ValueError(f"pair {pair.pair_id} has no idiomatic source")
+    interp = resolve_interpreter(cfg)
     if not assume_equivalent:
         from idiobench.equivalence import check
 
-        report = check(pair)
+        report = check(pair, interpreter=interp)
         if report.status != "Equivalent":
             raise EquivalenceGate(
                 f"pair {pair.pair_id} is {report.status}; "
                 "pass assume_equivalent=True to override"
             )
 
-    interp = resolve_interpreter(cfg)
     interp_id = interpreter_id(interp)
     host = host_id()
 
@@ -421,8 +421,6 @@ def load_matrices(
         n = len(rows)
         k = len(rows[0]["timings_ns"])
         shaped = replace(cfg, n_invocations=n, k_iterations=k)
-        if rows != sorted(rows, key=lambda r: r["invocation"]):
-            rows.sort(key=lambda r: r["invocation"])
         if [r["invocation"] for r in rows] != list(range(n)):
             raise ValueError(f"store holds a partial grid for {pair_id}/{variant}")
         out.append(_matrix_from_rows(pair_id, variant, rows, shaped))

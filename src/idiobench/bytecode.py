@@ -1,9 +1,10 @@
 """Bytecode diffing and root-cause classification for code pairs.
 
 Both payload variants are disassembled by the target interpreter's own
-``dis`` module in a child process (so the analysis always reflects the
-interpreter being measured, not the orchestrator), parsed from the
-textual output, and compared as opcode multisets plus an aligned view.
+``dis`` module in a private child process (so the analysis always
+reflects the interpreter being measured, not the orchestrator), parsed
+from the textual output, and compared as opcode multisets plus an
+aligned view.
 
 The classifier assigns one primary cause per pair:
 
@@ -27,13 +28,13 @@ from __future__ import annotations
 import ast
 import json
 import re
-import subprocess
 from collections import Counter
 from dataclasses import dataclass, field
 from difflib import SequenceMatcher
 from typing import Any
 
-from idiobench.bench import ChildCrash, interpreter_id, resolve_interpreter, run_invocation
+from idiobench import child
+from idiobench.bench import ChildCrash, interpreter_id
 from idiobench.catalog import COMPREHENSIONS, IdiomKind
 from idiobench.synth import CodePair, _indent
 
@@ -203,7 +204,7 @@ def disassemble_source(
         compile(source, "<payload>", "exec")
     except SyntaxError as exc:
         raise CompileError(str(exc)) from exc
-    interp = interpreter or resolve_interpreter()
+    interp = child.resolve_interpreter(interpreter)
     if scope_mode == "Local":
         job = {
             "mode": "function",
@@ -213,16 +214,10 @@ def disassemble_source(
         job = {"mode": "module", "source": source}
     else:
         raise ValueError(f"scope_mode must be Local or Global, got {scope_mode!r}")
-    proc = subprocess.run(
-        [interp, "-I", "-S", "-c", _DIS_DRIVER],
-        input=json.dumps(job),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    if proc.returncode != 0:
-        raise ChildCrash(f"disassembler child failed: {proc.stderr.strip()[-400:]}")
-    payload = json.loads(proc.stdout.strip().splitlines()[-1])
+    try:
+        payload = child.run_job(_DIS_DRIVER, json.dumps(job), timeout=60, interpreter=interp)
+    except child.ChildError as exc:
+        raise ChildCrash(f"disassembler child failed: {exc}") from exc
     if payload.get("error") == "compile":
         raise CompileError(payload["detail"])
     return canonical(_parse_dis_text(payload["text"]))
@@ -255,7 +250,7 @@ def diff(
     count_b = Counter(i.opname for i in idio)
     added = count_b - count_a
     removed = count_a - count_b
-    interp = interpreter or resolve_interpreter()
+    interp = child.resolve_interpreter(interpreter)
     return BytecodeDiff(
         pair_id=pair_id,
         instructions_non_id=list(non_id),
@@ -356,19 +351,16 @@ def runtime_probe(pair: CodePair, interpreter: str | None = None) -> RuntimeProb
     truth/length/comparison method, and likewise __next__ on its
     iterator type when the object is iterable.
     """
-    interp = interpreter or resolve_interpreter()
-    proc = subprocess.run(
-        [interp, "-I", "-S", "-c", _PROBE_DRIVER],
-        input=json.dumps(
-            {"setup": pair.setup_source, "payload": pair.non_idiomatic_source}
-        ),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    if proc.returncode != 0:
-        raise ChildCrash(f"probe child failed: {proc.stderr.strip()[-400:]}")
-    raw = json.loads(proc.stdout.strip().splitlines()[-1])
+    job = {"setup": pair.setup_source, "payload": pair.non_idiomatic_source}
+    try:
+        raw = child.run_job(
+            _PROBE_DRIVER,
+            json.dumps(job),
+            timeout=60,
+            interpreter=child.resolve_interpreter(interpreter),
+        )
+    except child.ChildError as exc:
+        raise ChildCrash(f"probe child failed: {exc}") from exc
     return RuntimeProbe(
         findings=[
             ProbeFinding(

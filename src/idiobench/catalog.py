@@ -12,7 +12,7 @@ import csv
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
 # ============================================================
 # Idiom kinds
@@ -367,9 +367,6 @@ class FeatureSpaceDescriptor:
     dims: Mapping[str, tuple]
     constraint: str | None = None
 
-    def dimension_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.dims))
-
 
 def _chain_multisets() -> tuple[tuple[str, ...], ...]:
     """All operator multisets of length 2..5, in canonical order."""
@@ -486,11 +483,6 @@ def enumerate_matrix(idiom: IdiomKind) -> list[FeatureVector]:
             continue
         out.append(vector_from_dims(idiom, dims))
     return out
-
-
-def iter_all_matrices() -> Iterator[tuple[IdiomKind, list[FeatureVector]]]:
-    for idiom in IdiomKind:
-        yield idiom, enumerate_matrix(idiom)
 
 
 # ============================================================

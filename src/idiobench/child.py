@@ -1,0 +1,339 @@
+"""Child processes: the only module that starts interpreters.
+
+Two kinds of child run here:
+
+- **Analysis jobs** (the snapshot, dis and probe drivers) run through a
+  fork server, one per target interpreter, started on first use as
+  ``[interpreter, "-I", "-S", "-c", ...]``. The server imports the
+  drivers' modules once and ``os.fork()``s one private child per job, so
+  each job still runs in its own process; this follows the stdlib
+  ``multiprocessing`` forkserver. Where ``os.fork`` is missing, the same
+  job runner runs once in a fresh ``-I -S`` exec per job instead.
+- **Fresh execs** (``exec_child``, ``exec_json``) run an argv to
+  completion. Timing invocations use them, since the measurement protocol
+  needs a fresh interpreter per invocation.
+
+A job's driver sees the job's input as ``sys.stdin`` and writes to a
+buffer as ``sys.stdout``; the last line it prints is its JSON result.
+File descriptors 0 and 1 of a job point at ``/dev/null`` and its result
+returns over a private pipe, so a payload writing to raw descriptors
+cannot corrupt the protocol.
+"""
+
+from __future__ import annotations
+
+import atexit
+import json
+import os
+import subprocess
+import sys
+import threading
+from typing import Any
+
+#: Characters of a failed child's stderr kept in the error message.
+_STDERR_TAIL = 500
+
+
+class ChildError(RuntimeError):
+    """A child died, exited nonzero, or left no readable result.
+
+    The message ends with the tail of the child's stderr.
+    """
+
+
+def resolve_interpreter(configured: str | None = None) -> str:
+    """The target interpreter: ``configured``, else ``TARGET_INTERPRETER``,
+    else the running interpreter."""
+    return configured or os.environ.get("TARGET_INTERPRETER", sys.executable)
+
+
+def _tail(stderr: str) -> str:
+    return stderr.strip()[-_STDERR_TAIL:]
+
+
+def last_json_line(stdout: str) -> Any:
+    """Parse the last line of a child's stdout as JSON."""
+    try:
+        return json.loads(stdout.strip().splitlines()[-1])
+    except (ValueError, IndexError) as exc:
+        raise ChildError(f"unreadable child output: {stdout[-200:]!r}") from exc
+
+
+def exec_child(
+    argv: list[str],
+    *,
+    timeout: float,
+    env: dict[str, str] | None = None,
+    input: str | None = None,
+) -> tuple[str, str, int]:
+    """Run ``argv`` to completion in a fresh process.
+
+    Without ``input`` the child inherits stdin.
+
+    Returns:
+        (stdout, stderr, pid).
+
+    Raises:
+        subprocess.TimeoutExpired: after killing a child that outran
+            ``timeout`` seconds.
+        ChildError: the child exited nonzero.
+    """
+    proc = subprocess.Popen(
+        argv,
+        stdin=subprocess.PIPE if input is not None else None,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        stdout, stderr = proc.communicate(input, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    if proc.returncode != 0:
+        raise ChildError(f"exited {proc.returncode}: {_tail(stderr)}")
+    return stdout, stderr, proc.pid
+
+
+def exec_json(
+    argv: list[str], *, timeout: float, env: dict[str, str] | None = None
+) -> tuple[Any, int]:
+    """``exec_child``, then the JSON record on the child's last stdout line.
+
+    Returns:
+        (record, pid).
+    """
+    stdout, _, pid = exec_child(argv, timeout=timeout, env=env)
+    return last_json_line(stdout), pid
+
+
+# ============================================================
+# Analysis jobs
+# ============================================================
+
+# Runs one job in the current process and writes
+# {"returncode", "stdout"} as one JSON line to a descriptor. The modules
+# the drivers import are imported here, once per server.
+_RUNNER = """\
+import contextlib, dis, io, json, os, select, signal, sys, time, types
+
+def run_job(job, result_fd):
+    null = os.open(os.devnull, os.O_RDWR)
+    os.dup2(null, 0)
+    os.dup2(null, 1)
+    os.close(null)
+    out = io.StringIO()
+    sys.stdin, sys.stdout = io.StringIO(job["input"]), out
+    try:
+        exec(compile(job["driver"], "<string>", "exec"), {"__name__": "__main__"})
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+        if code is None:
+            code = 0
+        elif not isinstance(code, int):
+            print(code, file=sys.stderr)
+            code = 1
+    except BaseException as exc:
+        # Leave this function's frame out of the traceback.
+        exc = exc.with_traceback(exc.__traceback__.tb_next)
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        code = 1
+    sys.stderr.flush()
+    data = (json.dumps({"returncode": code, "stdout": out.getvalue()}) + "\\n").encode()
+    while data:
+        data = data[os.write(result_fd, data):]
+"""
+
+# Reads one job per stdin line, forks a child for it and answers with one
+# JSON line: {"exitcode", "result", "stderr"} or {"timeout", "stderr"}.
+# Exits on stdin EOF.
+_SERVER = _RUNNER + """
+def fork_job(job):
+    result_r, result_w = os.pipe()
+    err_r, err_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 70
+        try:
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+            os.close(result_r)
+            os.close(err_r)
+            os.dup2(err_w, 2)
+            os.close(err_w)
+            run_job(job, result_w)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(result_w)
+    os.close(err_w)
+    chunks = {result_r: [], err_r: []}
+    pending = [result_r, err_r]
+    deadline = time.monotonic() + job["timeout"]
+    timed_out = False
+    while pending:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            timed_out = True
+            os.kill(pid, signal.SIGKILL)
+            break
+        for fd in select.select(pending, [], [], left)[0]:
+            data = os.read(fd, 65536)
+            if data:
+                chunks[fd].append(data)
+            else:
+                pending.remove(fd)
+    status = os.waitpid(pid, 0)[1]
+    os.close(result_r)
+    os.close(err_r)
+    stderr = b"".join(chunks[err_r]).decode("utf-8", "replace")[-4000:]
+    if timed_out:
+        return {"timeout": True, "stderr": stderr}
+    return {
+        "exitcode": os.waitstatus_to_exitcode(status),
+        "result": b"".join(chunks[result_r]).decode("utf-8", "replace"),
+        "stderr": stderr,
+    }
+
+# The client's process group gets terminal interrupts; the server ends
+# when the client closes its stdin instead.
+signal.signal(signal.SIGINT, signal.SIG_IGN)
+for line in sys.stdin:
+    sys.stdout.write(json.dumps(fork_job(json.loads(line))) + "\\n")
+    sys.stdout.flush()
+"""
+
+_ONE_SHOT = _RUNNER + """
+run_job(json.load(sys.stdin), os.dup(1))
+"""
+
+
+class _Server:
+    """Client side of one fork server; safe to share between threads."""
+
+    def __init__(self, interpreter: str) -> None:
+        self.interpreter = interpreter
+        self._lock = threading.Lock()
+        self._proc: subprocess.Popen[str] | None = None
+
+    def run(self, job: dict[str, Any], timeout: float) -> dict[str, Any]:
+        """Send one job; return the server's answer.
+
+        A server found dead, or dying while it holds the job, is replaced
+        and the job sent once more.
+        """
+        request = json.dumps({**job, "timeout": timeout}) + "\n"
+        with self._lock:
+            for _ in range(2):
+                proc = self._proc
+                if proc is None or proc.poll() is not None:
+                    proc = self._start()
+                try:
+                    proc.stdin.write(request)  # type: ignore[union-attr]
+                    proc.stdin.flush()  # type: ignore[union-attr]
+                    answer = proc.stdout.readline()  # type: ignore[union-attr]
+                except OSError:
+                    answer = ""
+                if answer:
+                    return json.loads(answer)
+                self._stop()
+        raise ChildError(f"job server for {self.interpreter} died")
+
+    def _start(self) -> subprocess.Popen[str]:
+        self._stop()
+        # Analysis children inherit the caller's environment; stderr is
+        # shared so that a server that cannot start says why.
+        self._proc = subprocess.Popen(
+            [self.interpreter, "-I", "-S", "-c", _SERVER],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+            encoding="utf-8",
+        )
+        return self._proc
+
+    def _stop(self) -> None:
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        for stream in (proc.stdin, proc.stdout):
+            try:
+                stream.close()  # type: ignore[union-attr]
+            except OSError:
+                pass
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+
+    def close(self) -> None:
+        with self._lock:
+            self._stop()
+
+
+class _Servers:
+    """One lazily started fork server per interpreter."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._by_interpreter: dict[str, _Server] = {}
+
+    def get(self, interpreter: str) -> _Server:
+        with self._lock:
+            server = self._by_interpreter.get(interpreter)
+            if server is None:
+                server = self._by_interpreter[interpreter] = _Server(interpreter)
+            return server
+
+    def close(self) -> None:
+        with self._lock:
+            servers = list(self._by_interpreter.values())
+            self._by_interpreter.clear()
+        for server in servers:
+            server.close()
+
+
+_SERVERS = _Servers()
+atexit.register(_SERVERS.close)
+
+
+def run_job(driver: str, input: str, *, timeout: float, interpreter: str) -> Any:
+    """Run ``driver`` as ``-c`` source in a private child of ``interpreter``.
+
+    The child sees ``input`` as stdin and is killed after ``timeout``
+    seconds.
+
+    Returns:
+        The JSON record on the last line the driver printed.
+
+    Raises:
+        subprocess.TimeoutExpired: the job outran ``timeout``.
+        ChildError: the job died, exited nonzero or printed no record.
+    """
+    job = {"driver": driver, "input": input}
+    if hasattr(os, "fork"):
+        answer = _SERVERS.get(interpreter).run(job, timeout)
+        stderr = answer["stderr"]
+        if answer.get("timeout"):
+            raise subprocess.TimeoutExpired(
+                f"{interpreter} job", timeout, stderr=_tail(stderr)
+            )
+        if answer["exitcode"] != 0:
+            raise ChildError(f"exited {answer['exitcode']}: {_tail(stderr)}")
+        try:
+            outcome = json.loads(answer["result"])
+        except ValueError as exc:
+            raise ChildError(f"exited without a result: {_tail(stderr)}") from exc
+    else:
+        stdout, stderr, _ = exec_child(
+            [interpreter, "-I", "-S", "-c", _ONE_SHOT],
+            input=json.dumps(job),
+            timeout=timeout,
+        )
+        outcome = last_json_line(stdout)
+    if outcome["returncode"] != 0:
+        raise ChildError(f"exited {outcome['returncode']}: {_tail(stderr)}")
+    return last_json_line(outcome["stdout"])

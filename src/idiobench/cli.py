@@ -164,12 +164,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     pairs = {p.pair_id: p for p in load_pairs(Path(args.in_dir))}
     cfg = BenchConfig(warmup=args.warmup)
     results: list[PairResult] = []
+    failures = 0
     for pair_id in store.pair_ids():
         pair = pairs.get(pair_id)
         if pair is None:
             log.warning("timings for unknown pair %s skipped", pair_id)
             continue
-        non_id, idio = load_matrices(store, pair_id, cfg)
+        try:
+            non_id, idio = load_matrices(store, pair_id, cfg)
+        except (KeyError, ValueError) as exc:
+            failures += 1
+            log.error("pair %s skipped: %s", pair_id, exc)
+            continue
         change = perf_change(
             non_id, idio, B=args.bootstrap, confidence=args.confidence, seed=args.seed
         )
@@ -184,7 +190,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_results_csv(results, fh)
     print(json.dumps({"rows": len(results), "out": args.out}))
-    return 0
+    return 1 if failures else 0
 
 
 def _parse_feature_cell(raw: str, levels: Sequence[Any]) -> Any:
@@ -278,24 +284,32 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    from idiobench.bytecode import diff_report
+    import subprocess
+
+    from idiobench.bench import ChildCrash
+    from idiobench.bytecode import CompileError, diff_report
 
     pairs = load_pairs(Path(args.in_dir))
     if not pairs:
         log.error("no pair files found in %s", args.in_dir)
         return 1
-    unclassified = 0
+    unclassified = errors = 0
     for pair in pairs:
         if not pair.idiomatic_source.strip():
             log.warning("pair %s has no idiomatic half; skipped", pair.pair_id)
             continue
-        record = diff_report(pair, probe=args.probe)
+        try:
+            record = diff_report(pair, probe=args.probe)
+        except (ChildCrash, CompileError, subprocess.TimeoutExpired) as exc:
+            errors += 1
+            log.error("pair %s: %s", pair.pair_id, exc)
+            record = {"pair_id": pair.pair_id, "root_cause": "Error", "evidence": [str(exc)]}
         if not args.aligned:
             record.pop("aligned_view", None)
         if record["root_cause"] == "Unclassifiable":
             unclassified += 1
         print(json.dumps(record))
-    return 1 if unclassified else 0
+    return 1 if unclassified or errors else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

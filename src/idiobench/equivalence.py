@@ -1,11 +1,12 @@
 """Differential behavioral checking of code pairs.
 
-Both payload variants run in fresh interpreter processes against the
-same regenerated setup, once per trial size. A trial compares the
-post-execution namespace snapshot (bindings by repr), captured stdout,
-and the raised exception, if any. Scaffolding bindings that a transform
-may legitimately add or remove (temporaries, flags, leaked loop
-variables) are excluded from the comparison; result bindings are not.
+Both payload variants run in private child processes (see ``child``)
+against the same regenerated setup, once per trial size. A trial
+compares the post-execution namespace snapshot (bindings by repr),
+captured stdout, and the raised exception, if any. Scaffolding bindings
+that a transform may legitimately add or remove (temporaries, flags,
+leaked loop variables) are excluded from the comparison; result
+bindings are not.
 
 The mutation suite corrupts the idiomatic half of a pair in ways that
 must be caught, providing a sensitivity check on the comparator.
@@ -16,13 +17,12 @@ from __future__ import annotations
 import ast
 import copy
 import json
-import os
 import re
 import subprocess
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from idiobench import child
 from idiobench.catalog import IdiomKind
 from idiobench.synth import CodePair, setup_for_size, wrap_snapshot
 
@@ -88,10 +88,6 @@ class CheckError(RuntimeError):
     """A snapshot child crashed or produced unreadable output."""
 
 
-def _interpreter() -> str:
-    return os.environ.get("TARGET_INTERPRETER", sys.executable)
-
-
 _DRIVER = """\
 import io, json, sys
 from contextlib import redirect_stdout
@@ -106,21 +102,19 @@ print(json.dumps(results))
 """
 
 
-def _run_snapshots(modules: list[str], timeout: float) -> list[dict[str, Any]]:
-    """Execute snapshot modules in one fresh child, one namespace each."""
-    proc = subprocess.run(
-        [_interpreter(), "-I", "-S", "-c", _DRIVER],
-        input=json.dumps(modules),
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
-    if proc.returncode != 0:
-        raise CheckError(f"snapshot child failed: {proc.stderr.strip()[-500:]}")
+def _run_snapshots(
+    modules: list[str], timeout: float, interpreter: str
+) -> list[dict[str, Any]]:
+    """Execute snapshot modules in one private child, one namespace each."""
     try:
-        lines = json.loads(proc.stdout.strip().splitlines()[-1])
+        lines = child.run_job(
+            _DRIVER, json.dumps(modules), timeout=timeout, interpreter=interpreter
+        )
+    except child.ChildError as exc:
+        raise CheckError(f"snapshot child failed: {exc}") from exc
+    try:
         return [json.loads(line) for line in lines]
-    except (ValueError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckError(f"unreadable snapshot output: {exc}") from exc
 
 
@@ -149,6 +143,7 @@ def check(
     pair: CodePair,
     sizes: Iterable[int | None] | None = None,
     timeout: float = 60.0,
+    interpreter: str | None = None,
 ) -> EquivalenceReport:
     """Differentially execute both variants of ``pair``.
 
@@ -158,6 +153,8 @@ def check(
             ``DEFAULT_TRIAL_SIZES`` when the pair is size-parameterized
             and a single native-setup trial otherwise.
         timeout: overall child timeout per variant, in seconds.
+        interpreter: the interpreter to run both variants under;
+            defaults to ``child.resolve_interpreter()``.
 
     Returns:
         EquivalenceReport with per-trial outcomes; status is
@@ -173,15 +170,18 @@ def check(
         else:
             setups.append(setup_for_size(pair.features, size))
 
+    interp = child.resolve_interpreter(interpreter)
     trials: list[TrialOutcome] = []
     try:
         snaps_a = _run_snapshots(
             [wrap_snapshot(pair.non_idiomatic_source, s, pair.scope_mode) for s in setups],
             timeout,
+            interp,
         )
         snaps_b = _run_snapshots(
             [wrap_snapshot(pair.idiomatic_source, s, pair.scope_mode) for s in setups],
             timeout,
+            interp,
         )
     except (CheckError, SyntaxError, subprocess.TimeoutExpired) as exc:
         return EquivalenceReport(

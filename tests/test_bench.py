@@ -299,3 +299,86 @@ def test_run_invocation_reports_child_crash():
 
     with pytest.raises(ChildCrash):
         run_invocation("import sys; sys.exit(3)", FAST_CFG, resolve_interpreter())
+
+
+def test_gate_runs_on_the_configured_interpreter(tmp_path, small_pair, monkeypatch):
+    import dataclasses
+    import sys
+
+    spawned = tmp_path / "spawned.log"
+    wrapper = tmp_path / "python"
+    wrapper.write_text(
+        f'#!/bin/sh\necho "$1 $2" >> "{spawned}"\nexec "{sys.executable}" "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("TARGET_INTERPRETER", str(tmp_path / "no-such-python"))
+    broken = dataclasses.replace(
+        small_pair, idiomatic_source=small_pair.idiomatic_source + "r_9 = 1\n"
+    )
+    cfg = dataclasses.replace(FAST_CFG, interpreter=str(wrapper))
+    with pytest.raises(EquivalenceGate):
+        measure(broken, cfg, TimingStore(tmp_path / "t.jsonl"))
+    lines = spawned.read_text().splitlines()
+    assert lines and set(lines) == {"-I -S"}
+
+
+def test_store_drops_only_a_torn_final_line(tmp_path, caplog):
+    path = tmp_path / "timings.jsonl"
+    store = TimingStore(path)
+    for i in range(2):
+        store.record_invocation(_record(invocation=i))
+    intact = path.read_text()
+    path.write_text(intact + json.dumps(_record(invocation=2))[:40])
+    with caplog.at_level("WARNING"):
+        reopened = TimingStore(path)
+    assert "torn final line" in caplog.text
+    assert [r["invocation"] for r in reopened.rows("p", NON_IDIOMATIC)] == [0, 1]
+    assert path.read_text() == intact
+
+    first, second = intact.splitlines(keepends=True)
+    path.write_text(first[:40] + "\n" + second)
+    with pytest.raises(json.JSONDecodeError):
+        TimingStore(path)
+
+
+def test_bench_resumes_after_a_torn_line(tmp_path, small_pair, monkeypatch, capsys):
+    import itertools
+    import re
+
+    import idiobench.bench as bench_mod
+    from idiobench.cli import main
+    from idiobench.synth import save_pair
+
+    pids = itertools.count(1000)
+    calls = []
+
+    def fake_invocation(module_source, cfg, interpreter):
+        # Durations depend only on the module text, so two runs give equal grids.
+        calls.append(module_source)
+        k = int(re.search(r"for __i in range\((\d+)\)", module_source).group(1))
+        base = 2_000_000 + len(module_source)
+        return {"timings_ns": [base + i for i in range(k)], "repetitions": 1}, next(pids)
+
+    monkeypatch.setattr(bench_mod, "run_invocation", fake_invocation)
+    save_pair(small_pair, tmp_path / "pairs")
+
+    def bench(store):
+        args = ["bench", "--in", str(tmp_path / "pairs"), "--timings", str(store)]
+        assert main(args + ["--n", "3", "--k", "4", "--warmup", "1", "--assume-equivalent"]) == 0
+        capsys.readouterr()
+
+    whole, resumed = tmp_path / "whole.jsonl", tmp_path / "resumed.jsonl"
+    bench(whole)
+    text = whole.read_text()
+    last = text.rstrip("\n").rsplit("\n", 1)[1]
+    start = len(text) - len(last) - 1
+    resumed.write_text(text[: start + len(last) // 2])  # killed mid-append
+    calls.clear()
+    bench(resumed)
+    assert len(calls) == 1
+    cfg = BenchConfig(warmup=1)
+    for left, right in zip(
+        load_matrices(TimingStore(whole), small_pair.pair_id, cfg),
+        load_matrices(TimingStore(resumed), small_pair.pair_id, cfg),
+    ):
+        assert left.timings_ns == right.timings_ns

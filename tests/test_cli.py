@@ -259,3 +259,80 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     for sub in ("gen", "refactor", "check", "bench", "stats", "analyze", "diff", "report"):
         assert sub in proc.stdout
+
+
+def test_diff_isolates_a_crashing_pair(pipeline_dir, tmp_path, capsys):
+    from idiobench import child
+    from idiobench.catalog import IdiomKind
+    from idiobench.synth import CodePair, save_pair
+
+    payload = "__os.kill(__os.getpid(), 9)\nr_0 = 1\n"
+    save_pair(
+        CodePair(
+            pair_id="0-crashes",
+            idiom=IdiomKind.TRUTH_VALUE_TEST,
+            features=None,
+            setup_source="import os as __os\n",
+            non_idiomatic_source=payload,
+            idiomatic_source=payload,
+            scope_mode="Global",
+        ),
+        tmp_path,
+    )
+    good = load_pairs(pipeline_dir / "pairs")[0]
+    save_pair(good, tmp_path)
+
+    def server_pid():
+        return child.run_job(
+            "import os; print(os.getppid())",
+            "",
+            timeout=30,
+            interpreter=child.resolve_interpreter(),
+        )
+
+    before = server_pid()
+    code, out = _run(capsys, "diff", "--in", str(tmp_path), "--probe")
+    assert code == 1
+    crashed, fine = [json.loads(line) for line in out.strip().splitlines()]
+    assert crashed["pair_id"] == "0-crashes"
+    assert crashed["root_cause"] == "Error"
+    assert "probe child failed: exited -9" in crashed["evidence"][0]
+    assert fine["pair_id"] == good.pair_id
+    assert fine["root_cause"].startswith("R")
+    assert server_pid() == before
+
+
+def test_stats_skips_a_partial_grid(pipeline_dir, tmp_path, capsys):
+    from idiobench.bench import VARIANTS, TimingStore
+
+    pairs = load_pairs(pipeline_dir / "pairs")[:2]
+    store = TimingStore(tmp_path / "timings.jsonl")
+    for pair in pairs:
+        for variant in VARIANTS:
+            for invocation in range(3):
+                if pair is pairs[0] and invocation == 1:
+                    continue  # a hole in the first pair's grids
+                store.record_invocation(
+                    {
+                        "kind": "invocation",
+                        "pair_id": pair.pair_id,
+                        "variant": variant,
+                        "invocation": invocation,
+                        "timings_ns": [100.0 + invocation + len(variant)] * 4,
+                        "repetitions": 1,
+                    }
+                )
+    results = tmp_path / "results.csv"
+    code, out = _run(
+        capsys,
+        "stats",
+        "--timings", str(store.path),
+        "--in", str(pipeline_dir / "pairs"),
+        "--bootstrap", "50",
+        "--warmup", "1",
+        "--out", str(results),
+    )
+    assert code == 1
+    assert json.loads(out.strip().splitlines()[-1])["rows"] == 1
+    rows = results.read_text().splitlines()
+    assert len(rows) == 2 and pairs[1].pair_id in rows[1]
