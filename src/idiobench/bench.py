@@ -19,10 +19,10 @@ import logging
 import os
 import platform
 import subprocess
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -54,6 +54,10 @@ class InvocationTimeout(BenchError):
 
 class EquivalenceGate(BenchError):
     """The pair failed its behavioral check and override was not set."""
+
+
+class MissingIdiomatic(BenchError, ValueError):
+    """The pair has no idiomatic half to measure."""
 
 
 @dataclass(frozen=True)
@@ -332,7 +336,7 @@ def measure(
     """
     cfg = cfg or BenchConfig()
     if not pair.idiomatic_source.strip():
-        raise ValueError(f"pair {pair.pair_id} has no idiomatic source")
+        raise MissingIdiomatic(f"pair {pair.pair_id} has no idiomatic source")
     interp = resolve_interpreter(cfg)
     if not assume_equivalent:
         from idiobench.equivalence import check

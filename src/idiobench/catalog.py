@@ -12,7 +12,7 @@ import csv
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 # ============================================================
 # Idiom kinds

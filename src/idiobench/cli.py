@@ -10,11 +10,12 @@ failure (divergent pair, measurement error), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from idiobench.catalog import (
     SIZES,
@@ -25,7 +26,7 @@ from idiobench.catalog import (
     matrix_to_csv,
     vector_from_dims,
 )
-from idiobench.synth import CodePair, load_pairs, save_pair, synthesize
+from idiobench.synth import load_pairs, save_pair, synthesize
 
 log = logging.getLogger("idiobench")
 
@@ -111,12 +112,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
         sizes: Sequence[int | None] | None = None
         if args.trials is not None and trial_sizes_for(pair) != [None]:
             sizes = _trial_sizes(args.trials)
-        report = check(pair, sizes=sizes)
-        record = {
-            "pair_id": pair.pair_id,
-            "idiom": pair.idiom.value,
-            "status": report.status,
-        }
+        record: dict[str, Any] = {"pair_id": pair.pair_id, "idiom": pair.idiom.value}
+        try:
+            report = check(pair, sizes=sizes)
+        except ValueError as exc:
+            divergent += 1
+            log.error("pair %s: %s", pair.pair_id, exc)
+            print(json.dumps({**record, "status": "Error", "reason": str(exc)}))
+            continue
+        record["status"] = report.status
         if report.status != "Equivalent":
             divergent += 1
             witness = report.witness
@@ -221,27 +225,38 @@ def _vector_from_csv_row(row: dict[str, str]) -> FeatureVector | None:
         return None
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from idiobench.stats import distribution_summary, feature_correlation, read_results_csv
+_CLASSES = ("Speedup", "Slowdown", "Unchanged")
 
-    with open(args.results, "r", encoding="utf-8", newline="") as fh:
-        rows = read_results_csv(fh)
-    if not rows:
+
+def _results_by_idiom(path: str) -> dict[str, list[dict[str, str]]]:
+    """Results CSV rows grouped by idiom, in idiom-name order."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    groups: dict[str, list[dict[str, str]]] = {}
+    for row in rows:
+        groups.setdefault(row["idiom"], []).append(row)
+    return dict(sorted(groups.items()))
+
+
+def _class_percent(group: list[dict[str, str]]) -> dict[str, float]:
+    classes = [r["classification"] for r in group]
+    return {label: 100.0 * classes.count(label) / len(group) for label in _CLASSES}
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    from idiobench.stats import distribution_summary, feature_correlation
+
+    by_idiom = _results_by_idiom(args.results)
+    if not by_idiom:
         log.error("results file is empty")
         return 1
-    by_idiom: dict[str, list[dict[str, str]]] = {}
-    for row in rows:
-        by_idiom.setdefault(row["idiom"], []).append(row)
 
     output: dict[str, Any] = {"idioms": {}}
-    for idiom_name in sorted(by_idiom):
-        group = by_idiom[idiom_name]
+    for idiom_name, group in by_idiom.items():
         rhos = [float(r["rho"]) for r in group]
         summary = distribution_summary(rhos)
-        classes = [r["classification"] for r in group]
-        total = len(classes)
         entry: dict[str, Any] = {
-            "pairs": total,
+            "pairs": len(group),
             "rho": {
                 "min": summary.minimum,
                 "whisker_low": summary.whisker_low,
@@ -253,8 +268,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 "outliers": len(summary.outliers),
             },
             "percent": {
-                label: round(100.0 * classes.count(label) / total, 1)
-                for label in ("Speedup", "Slowdown", "Unchanged")
+                label: round(share, 1) for label, share in _class_percent(group).items()
             },
         }
         vectors = [(_vector_from_csv_row(r), float(r["rho"])) for r in group]
@@ -313,39 +327,30 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from idiobench.stats import read_results_csv
+    import statistics
 
-    with open(args.results, "r", encoding="utf-8", newline="") as fh:
-        rows = read_results_csv(fh)
-    if not rows:
+    by_idiom = _results_by_idiom(args.results)
+    if not by_idiom:
         log.error("results file is empty")
         return 1
     lines = [
         "# Idiom performance report",
         "",
-        f"Pairs analyzed: {len(rows)}",
+        f"Pairs analyzed: {sum(len(group) for group in by_idiom.values())}",
         "",
         "| idiom | pairs | median rho | % speedup | % slowdown | % unchanged |",
         "|---|---|---|---|---|---|",
     ]
-    by_idiom: dict[str, list[dict[str, str]]] = {}
-    for row in rows:
-        by_idiom.setdefault(row["idiom"], []).append(row)
-    import statistics
-
-    for idiom_name in sorted(by_idiom):
-        group = by_idiom[idiom_name]
-        rhos = sorted(float(r["rho"]) for r in group)
-        classes = [r["classification"] for r in group]
-        total = len(group)
+    for idiom_name, group in by_idiom.items():
+        percent = _class_percent(group)
         lines.append(
             "| {idiom} | {n} | {median:.3f} | {up:.1f} | {down:.1f} | {flat:.1f} |".format(
                 idiom=idiom_name,
-                n=total,
-                median=statistics.median(rhos),
-                up=100.0 * classes.count("Speedup") / total,
-                down=100.0 * classes.count("Slowdown") / total,
-                flat=100.0 * classes.count("Unchanged") / total,
+                n=len(group),
+                median=statistics.median(float(r["rho"]) for r in group),
+                up=percent["Speedup"],
+                down=percent["Slowdown"],
+                flat=percent["Unchanged"],
             )
         )
     text = "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ast
 import copy
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from idiobench.catalog import IdiomKind
 

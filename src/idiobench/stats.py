@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence, TextIO
 
 import numpy as np
-from scipy import stats as sps
 
 from idiobench.catalog import FeatureVector, IdiomKind, feature_space
 
@@ -301,10 +300,26 @@ def _vif(matrix: np.ndarray, col: int) -> float:
     return 1.0 / (1.0 - r_squared)
 
 
+def _average_ranks(values: Any) -> np.ndarray:
+    """1-based float ranks; tied values share their mean rank.
+
+    Matches ``scipy.stats.rankdata(values)`` (method "average") on 1-D
+    input without NaNs.
+    """
+    data = np.asarray(values)
+    order = np.argsort(data, kind="mergesort")
+    ordered = data[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], data.size]
+    ranks = np.empty(data.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _spearman_with_permutation(
     x: np.ndarray, y_ranks: np.ndarray, perm_ranks: np.ndarray
 ) -> tuple[float, float]:
-    x_ranks = sps.rankdata(x)
+    x_ranks = _average_ranks(x)
     xc = x_ranks - x_ranks.mean()
     x_scale = float(np.sqrt((xc**2).sum()))
     yc = y_ranks - y_ranks.mean()
@@ -380,7 +395,7 @@ def feature_correlation(
         matrix = np.delete(matrix, index, axis=1)
 
     rng = np.random.default_rng(seed)
-    y_ranks = sps.rankdata(log_rho)
+    y_ranks = _average_ranks(log_rho)
     perm_ranks = np.stack([rng.permutation(y_ranks) for _ in range(permutations)])
     for i, name in enumerate(names):
         rho_s, p_value = _spearman_with_permutation(matrix[:, i], y_ranks, perm_ranks)

@@ -14,10 +14,9 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from idiobench.catalog import (
-    COMPREHENSIONS,
     EMPTY_VALUE_BY_NAME,
     FeatureVector,
     IdiomKind,

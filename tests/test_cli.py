@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from typing import Any
 
 import pytest
 
@@ -336,3 +337,107 @@ def test_stats_skips_a_partial_grid(pipeline_dir, tmp_path, capsys):
     assert json.loads(out.strip().splitlines()[-1])["rows"] == 1
     rows = results.read_text().splitlines()
     assert len(rows) == 2 and pairs[1].pair_id in rows[1]
+
+
+def test_check_and_bench_isolate_a_pair_without_idiomatic_half(tmp_path, capsys):
+    import dataclasses
+
+    from idiobench.synth import save_pair
+
+    pairs_dir = tmp_path / "pairs"
+    assert main(["gen", "--idiom", "loop-else", "--limit", "3", "--out", str(pairs_dir)]) == 0
+    assert main(["refactor", "--in", str(pairs_dir)]) == 0
+    capsys.readouterr()
+    pairs = load_pairs(pairs_dir)
+    assert len(pairs) == 3
+    blank = pairs[1]
+    save_pair(dataclasses.replace(blank, idiomatic_source=""), pairs_dir)
+
+    code, out = _run(capsys, "check", "--in", str(pairs_dir))
+    assert code == 1
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["pair_id"] for r in records] == [p.pair_id for p in pairs]
+    assert records[1] == {
+        "pair_id": blank.pair_id,
+        "idiom": "loop-else",
+        "status": "Error",
+        "reason": f"pair {blank.pair_id} has no idiomatic source",
+    }
+    assert records[0]["status"] == records[2]["status"] == "Equivalent"
+
+    timings = tmp_path / "timings.jsonl"
+    code, out = _run(
+        capsys,
+        "bench",
+        "--in", str(pairs_dir),
+        "--timings", str(timings),
+        "--n", "2",
+        "--k", "3",
+        "--warmup", "1",
+        "--min-iteration-ns", "100000",
+    )
+    assert code == 1
+    assert json.loads(out.strip().splitlines()[-1]) == {"measured": 2, "failed": 1}
+    from idiobench.bench import TimingStore
+
+    assert set(TimingStore(timings).pair_ids()) == {pairs[0].pair_id, pairs[2].pair_id}
+
+
+_MODULES_AFTER_MAIN = """\
+import json, sys
+from idiobench.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def _modules_after(*argv: str) -> tuple[dict[str, Any], str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER_MAIN, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *output, last = proc.stdout.strip().splitlines()
+    return json.loads(last), "\n".join(output)
+
+
+def test_post_bench_stages_import_no_scipy_and_report_no_numpy(pipeline_dir, tmp_path):
+    from idiobench.bench import VARIANTS, TimingStore
+
+    pairs = load_pairs(pipeline_dir / "pairs")
+    store = TimingStore(tmp_path / "timings.jsonl")
+    for index, pair in enumerate(pairs):
+        for variant in VARIANTS:
+            base = 100.0 + 10.0 * index if variant == VARIANTS[0] else 100.0
+            for invocation in range(3):
+                store.record_invocation(
+                    {
+                        "kind": "invocation",
+                        "pair_id": pair.pair_id,
+                        "variant": variant,
+                        "invocation": invocation,
+                        "timings_ns": [base + invocation] * 4,
+                        "repetitions": 1,
+                    }
+                )
+    results = str(tmp_path / "results.csv")
+
+    loaded, _ = _modules_after(
+        "stats",
+        "--timings", str(store.path),
+        "--in", str(pipeline_dir / "pairs"),
+        "--bootstrap", "50",
+        "--warmup", "1",
+        "--out", results,
+    )
+    assert loaded["code"] == 0 and not loaded["scipy"]
+
+    loaded, out = _modules_after("analyze", "--results", results, "--permutations", "50")
+    assert loaded["code"] == 0 and not loaded["scipy"]
+    assert "feature_correlation" in json.loads(out)["idioms"]["truth-value-test"]
+
+    loaded, out = _modules_after("report", "--results", results)
+    assert loaded == {"code": 0, "numpy": False, "scipy": False}
+    assert "| truth-value-test | 10 |" in out

@@ -267,6 +267,25 @@ def _vectors_with_rho(idiom: IdiomKind, rho_of) -> list[tuple]:
     return [(v, rho_of(v)) for v in vectors]
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.5, -1.25, 3.0, 2.75, 0.0],
+        [3, 1, 2, 3, 3, 1, 0],
+        [7.0],
+        [4, 4, 4, 4],
+    ],
+    ids=["distinct-floats", "integer-ties", "single", "all-equal"],
+)
+def test_average_ranks_match_scipy_rankdata(values):
+    sps = pytest.importorskip("scipy.stats")
+    from idiobench.stats import _average_ranks
+
+    ours, theirs = _average_ranks(values), sps.rankdata(values)
+    assert ours.dtype == theirs.dtype
+    assert np.array_equal(ours, theirs)
+
+
 def test_correlation_directions():
     rows = _vectors_with_rho(
         IdiomKind.LIST_COMPREHENSION,
