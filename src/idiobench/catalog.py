@@ -12,7 +12,7 @@ import csv
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 # ============================================================
 # Idiom kinds
@@ -54,18 +54,7 @@ COMPOP_SET: tuple[str, ...] = (
 
 CHAIN_LENGTHS: tuple[int, ...] = (2, 3, 4, 5)
 
-TEST_SET: tuple[str, ...] = ("while", "assert", "if")
-EQ_SET: tuple[str, ...] = ("==", "!=")
-LOOP_SET: tuple[str, ...] = ("for", "while")
-CONDITION_SET: tuple[str, ...] = ("if", "if-else")
 SCOPES: tuple[str, ...] = ("Local", "Global")
-
-NUM_ASSIGN_RANGE = range(2, 31)
-NUM_SUBSCRIPT_RANGE = range(1, 31)
-NUM_TARGET_RANGE = range(1, 6)
-NUM_FOR_RANGE = range(1, 5)
-NUM_IF_RANGE = range(0, 5)
-NUM_IFELSE_RANGE = range(0, 5)
 
 
 @dataclass(frozen=True)
@@ -113,81 +102,110 @@ class IllegalFeature(ValueError):
 # Feature vectors
 # ============================================================
 
-# Field groups legal for each idiom. A vector must carry exactly these
-# fields; anything else is rejected.
-_COMPREHENSION_FIELDS = {
-    "counts": frozenset({"num_for", "num_if", "num_ifelse"}),
-    "choices": frozenset(),
-    "flags": frozenset(),
-    "size": True,
-    "bools": frozenset(),
+
+def _chain_multisets() -> tuple[tuple[str, ...], ...]:
+    """All operator multisets of length 2..5, in canonical order."""
+    out: list[tuple[str, ...]] = []
+    for length in CHAIN_LENGTHS:
+        out.extend(itertools.combinations_with_replacement(COMPOP_SET, length))
+    return tuple(out)
+
+
+_BOOLS = (False, True)
+
+_COMPREHENSION_SPACE: dict[str, tuple] = {
+    "num_for": tuple(range(1, 5)),
+    "num_if": tuple(range(0, 5)),
+    "num_ifelse": tuple(range(0, 5)),
+    "scope": SCOPES,
+    "size": SIZES,
 }
 
-_IDIOM_FIELDS: dict[IdiomKind, dict[str, Any]] = {
-    IdiomKind.LIST_COMPREHENSION: _COMPREHENSION_FIELDS,
-    IdiomKind.SET_COMPREHENSION: _COMPREHENSION_FIELDS,
-    IdiomKind.DICT_COMPREHENSION: _COMPREHENSION_FIELDS,
+#: Every dimension of every idiom with its legal values in declared
+#: order. A dimension's name says which field of a :class:`FeatureVector`
+#: holds it: ``num_*`` node counts, ``has_*`` structure flags, ``is_*``
+#: execution-path booleans, ``size`` and ``scope`` themselves, and any
+#: other name a node choice.
+_SPACES: dict[IdiomKind, dict[str, tuple]] = {
+    IdiomKind.LIST_COMPREHENSION: _COMPREHENSION_SPACE,
+    IdiomKind.SET_COMPREHENSION: _COMPREHENSION_SPACE,
+    IdiomKind.DICT_COMPREHENSION: _COMPREHENSION_SPACE,
     IdiomKind.CHAIN_COMPARISON: {
-        "counts": frozenset({"num_compop"}),
-        "choices": frozenset({"compops"}),
-        "flags": frozenset(),
-        "size": False,
-        "bools": frozenset({"is_true"}),
+        "compops": _chain_multisets(),
+        "scope": SCOPES,
+        "is_true": _BOOLS,
     },
     IdiomKind.TRUTH_VALUE_TEST: {
-        "counts": frozenset(),
-        "choices": frozenset({"test_parent", "eq_op", "empty_value"}),
-        "flags": frozenset(),
-        "size": False,
-        "bools": frozenset({"is_true"}),
+        "test_parent": ("while", "assert", "if"),
+        "eq_op": ("==", "!="),
+        "empty_value": EMPTY_VALUE_NAMES,
+        "scope": SCOPES,
+        "is_true": _BOOLS,
     },
     IdiomKind.LOOP_ELSE: {
-        "counts": frozenset(),
-        "choices": frozenset({"loop_kind", "condition_kind"}),
-        "flags": frozenset(),
-        "size": True,
-        "bools": frozenset({"is_break"}),
+        "loop_kind": ("for", "while"),
+        "condition_kind": ("if", "if-else"),
+        "scope": SCOPES,
+        "size": SIZES,
+        "is_break": _BOOLS,
     },
     IdiomKind.ASSIGN_MULTI_TARGETS: {
-        "counts": frozenset({"num_assign"}),
-        "choices": frozenset(),
-        "flags": frozenset(),
-        "size": False,
-        "bools": frozenset({"is_swap", "is_const"}),
+        "num_assign": tuple(range(2, 31)),
+        "scope": SCOPES,
+        "is_const": _BOOLS,
+        "is_swap": _BOOLS,
     },
     IdiomKind.STAR_IN_FUNC_CALL: {
-        "counts": frozenset({"num_subscript"}),
-        "choices": frozenset(),
-        "flags": frozenset({"has_subscript", "has_step", "has_lower", "has_upper"}),
-        "size": False,
-        "bools": frozenset({"is_const"}),
+        "num_subscript": tuple(range(1, 31)),
+        "has_subscript": _BOOLS,
+        "has_step": _BOOLS,
+        "has_lower": _BOOLS,
+        "has_upper": _BOOLS,
+        "is_const": _BOOLS,
+        "scope": SCOPES,
     },
     IdiomKind.FOR_MULTI_TARGETS: {
-        "counts": frozenset({"num_subscript", "num_target"}),
-        "choices": frozenset(),
-        "flags": frozenset({"has_starred"}),
-        "size": True,
-        "bools": frozenset(),
+        "num_subscript": tuple(range(1, 31)),
+        "num_target": tuple(range(1, 6)),
+        "has_starred": _BOOLS,
+        "scope": SCOPES,
+        "size": SIZES,
     },
 }
 
-_COUNT_RANGES: dict[str, range] = {
-    "num_for": NUM_FOR_RANGE,
-    "num_if": NUM_IF_RANGE,
-    "num_ifelse": NUM_IFELSE_RANGE,
-    "num_compop": range(min(CHAIN_LENGTHS), max(CHAIN_LENGTHS) + 1),
-    "num_assign": NUM_ASSIGN_RANGE,
-    "num_subscript": NUM_SUBSCRIPT_RANGE,
-    "num_target": NUM_TARGET_RANGE,
+
+class _Fields(NamedTuple):
+    """One idiom's field groups and legal value sets, read off ``_SPACES``."""
+
+    counts: frozenset[str]
+    choices: frozenset[str]
+    flags: frozenset[str]
+    bools: frozenset[str]
+    legal: dict[str, frozenset]
+
+
+def _fields(space: Mapping[str, tuple]) -> _Fields:
+    legal = {name: frozenset(values) for name, values in space.items()}
+    if "compops" in space:
+        # The chain length is a count derived from the operator multiset.
+        legal["num_compop"] = frozenset(len(ops) for ops in space["compops"])
+    counts = frozenset(n for n in legal if n.startswith("num_"))
+    flags = frozenset(n for n in legal if n.startswith("has_"))
+    bools = frozenset(n for n in legal if n.startswith("is_"))
+    choices = frozenset(legal) - counts - flags - bools - {"scope", "size"}
+    return _Fields(counts, choices, flags, bools, legal)
+
+
+_FIELDS: dict[IdiomKind, _Fields] = {
+    idiom: _fields(space) for idiom, space in _SPACES.items()
 }
 
-_CHOICE_VALUES: dict[str, tuple[str, ...]] = {
-    "test_parent": TEST_SET,
-    "eq_op": EQ_SET,
-    "empty_value": EMPTY_VALUE_NAMES,
-    "loop_kind": LOOP_SET,
-    "condition_kind": CONDITION_SET,
-}
+
+def _is_legal(value: Any, legal: frozenset) -> bool:
+    try:
+        return value in legal
+    except TypeError:  # unhashable, e.g. a list read from JSON
+        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,65 +236,47 @@ class FeatureVector:
     is_break: bool | None = None
 
     def __post_init__(self) -> None:
-        legal = _IDIOM_FIELDS[self.idiom]
-        if set(self.node_counts) != set(legal["counts"]):
-            raise IllegalFeature(
-                f"{self.idiom.value}: node_counts must be exactly "
-                f"{sorted(legal['counts'])}, got {sorted(self.node_counts)}"
-            )
-        if set(self.node_choices) != set(legal["choices"]):
-            raise IllegalFeature(
-                f"{self.idiom.value}: node_choices must be exactly "
-                f"{sorted(legal['choices'])}, got {sorted(self.node_choices)}"
-            )
-        if set(self.has_flags) != set(legal["flags"]):
-            raise IllegalFeature(
-                f"{self.idiom.value}: has_flags must be exactly "
-                f"{sorted(legal['flags'])}, got {sorted(self.has_flags)}"
-            )
+        fields = _FIELDS[self.idiom]
+        for group, given, names in (
+            ("node_counts", self.node_counts, fields.counts),
+            ("node_choices", self.node_choices, fields.choices),
+            ("has_flags", self.has_flags, fields.flags),
+        ):
+            if set(given) != names:
+                raise IllegalFeature(
+                    f"{self.idiom.value}: {group} must be exactly "
+                    f"{sorted(names)}, got {sorted(given)}"
+                )
         for name, value in self.node_counts.items():
-            if value not in _COUNT_RANGES[name]:
+            if not _is_legal(value, fields.legal[name]):
                 raise IllegalFeature(f"{name}={value} outside legal range")
         for name, value in self.node_choices.items():
-            if name == "compops":
-                if not self._compops_legal(value):
-                    raise IllegalFeature(f"illegal operator multiset {value!r}")
-            elif value not in _CHOICE_VALUES[name]:
+            if not _is_legal(value, fields.legal[name]):
                 raise IllegalFeature(f"{name}={value!r} not a legal choice")
         for name, value in self.has_flags.items():
             if not isinstance(value, bool):
                 raise IllegalFeature(f"{name} must be a bool")
         if self.scope not in SCOPES:
             raise IllegalFeature(f"scope={self.scope!r} not in {SCOPES}")
-        if legal["size"]:
-            if self.size not in SIZES:
+        if "size" in fields.legal:
+            if not _is_legal(self.size, fields.legal["size"]):
                 raise IllegalFeature(f"size={self.size!r} not in {SIZES}")
         elif self.size is not None:
             raise IllegalFeature(f"{self.idiom.value} has no size dimension")
         for name in ("is_true", "is_swap", "is_const", "is_break"):
             value = getattr(self, name)
-            if name in legal["bools"]:
+            if name in fields.bools:
                 if not isinstance(value, bool):
                     raise IllegalFeature(f"{name} must be set for {self.idiom.value}")
             elif value is not None:
                 raise IllegalFeature(f"{name} is foreign to {self.idiom.value}")
-        if self.idiom is IdiomKind.CHAIN_COMPARISON:
-            compops = self.node_choices["compops"]
-            if self.node_counts["num_compop"] != len(compops):
+        if "num_compop" in fields.counts:
+            if self.node_counts["num_compop"] != len(self.node_choices["compops"]):
                 raise IllegalFeature("num_compop must equal len(compops)")
         if self.idiom is IdiomKind.ASSIGN_MULTI_TARGETS:
             # Constants cannot swap.
             if self.is_const and self.is_swap:
                 raise IllegalFeature("is_const=True implies is_swap=False")
-
-    @staticmethod
-    def _compops_legal(value: Any) -> bool:
-        if not isinstance(value, tuple) or len(value) not in CHAIN_LENGTHS:
-            return False
-        if any(op not in COMPOP_SET for op in value):
-            return False
-        order = [COMPOP_SET.index(op) for op in value]
-        return order == sorted(order)
 
     def key(self) -> tuple:
         """Canonical hashable identity used for equality and ordering."""
@@ -365,87 +365,20 @@ class FeatureSpaceDescriptor:
 
     idiom: IdiomKind
     dims: Mapping[str, tuple]
-    constraint: str | None = None
-
-
-def _chain_multisets() -> tuple[tuple[str, ...], ...]:
-    """All operator multisets of length 2..5, in canonical order."""
-    out: list[tuple[str, ...]] = []
-    for length in CHAIN_LENGTHS:
-        out.extend(itertools.combinations_with_replacement(COMPOP_SET, length))
-    return tuple(out)
-
-
-_BOOLS = (False, True)
 
 
 def feature_space(idiom: IdiomKind) -> FeatureSpaceDescriptor:
     """Describe every dimension and legal value set for ``idiom``."""
-    if idiom in COMPREHENSIONS:
-        return FeatureSpaceDescriptor(idiom, {
-            "num_for": tuple(NUM_FOR_RANGE),
-            "num_if": tuple(NUM_IF_RANGE),
-            "num_ifelse": tuple(NUM_IFELSE_RANGE),
-            "scope": SCOPES,
-            "size": SIZES,
-        })
-    if idiom is IdiomKind.CHAIN_COMPARISON:
-        return FeatureSpaceDescriptor(idiom, {
-            "compops": _chain_multisets(),
-            "scope": SCOPES,
-            "is_true": _BOOLS,
-        })
-    if idiom is IdiomKind.TRUTH_VALUE_TEST:
-        return FeatureSpaceDescriptor(idiom, {
-            "test_parent": TEST_SET,
-            "eq_op": EQ_SET,
-            "empty_value": EMPTY_VALUE_NAMES,
-            "scope": SCOPES,
-            "is_true": _BOOLS,
-        })
-    if idiom is IdiomKind.LOOP_ELSE:
-        return FeatureSpaceDescriptor(idiom, {
-            "loop_kind": LOOP_SET,
-            "condition_kind": CONDITION_SET,
-            "scope": SCOPES,
-            "size": SIZES,
-            "is_break": _BOOLS,
-        })
-    if idiom is IdiomKind.ASSIGN_MULTI_TARGETS:
-        return FeatureSpaceDescriptor(idiom, {
-            "num_assign": tuple(NUM_ASSIGN_RANGE),
-            "scope": SCOPES,
-            "is_const": _BOOLS,
-            "is_swap": _BOOLS,
-        }, constraint="is_const=True implies is_swap=False")
-    if idiom is IdiomKind.STAR_IN_FUNC_CALL:
-        return FeatureSpaceDescriptor(idiom, {
-            "num_subscript": tuple(NUM_SUBSCRIPT_RANGE),
-            "has_subscript": _BOOLS,
-            "has_step": _BOOLS,
-            "has_lower": _BOOLS,
-            "has_upper": _BOOLS,
-            "is_const": _BOOLS,
-            "scope": SCOPES,
-        })
-    if idiom is IdiomKind.FOR_MULTI_TARGETS:
-        return FeatureSpaceDescriptor(idiom, {
-            "num_subscript": tuple(NUM_SUBSCRIPT_RANGE),
-            "num_target": tuple(NUM_TARGET_RANGE),
-            "has_starred": _BOOLS,
-            "scope": SCOPES,
-            "size": SIZES,
-        })
-    raise ValueError(f"unknown idiom {idiom!r}")
+    return FeatureSpaceDescriptor(idiom, _SPACES[idiom])
 
 
 def vector_from_dims(idiom: IdiomKind, dims: Mapping[str, Any]) -> FeatureVector:
     """Build a validated vector from a flat dimension-name map."""
-    legal = _IDIOM_FIELDS[idiom]
-    counts = {k: v for k, v in dims.items() if k in legal["counts"]}
-    choices = {k: v for k, v in dims.items() if k in legal["choices"]}
-    flags = {k: v for k, v in dims.items() if k in legal["flags"]}
-    if idiom is IdiomKind.CHAIN_COMPARISON:
+    fields = _FIELDS[idiom]
+    counts = {k: v for k, v in dims.items() if k in fields.counts}
+    choices = {k: v for k, v in dims.items() if k in fields.choices}
+    flags = {k: v for k, v in dims.items() if k in fields.flags}
+    if "num_compop" in fields.counts:
         counts["num_compop"] = len(dims["compops"])
     kwargs: dict[str, Any] = {}
     for name in ("is_true", "is_swap", "is_const", "is_break"):
@@ -473,9 +406,9 @@ def enumerate_matrix(idiom: IdiomKind) -> list[FeatureVector]:
     Returns:
         Ordered list of distinct feature vectors.
     """
-    space = feature_space(idiom)
-    names = sorted(space.dims)
-    values = [space.dims[name] for name in names]
+    space = _SPACES[idiom]
+    names = sorted(space)
+    values = [space[name] for name in names]
     out: list[FeatureVector] = []
     for combo in itertools.product(*values):
         dims = dict(zip(names, combo))
@@ -497,8 +430,7 @@ def matrix_to_csv(idiom: IdiomKind, fileobj) -> int:
     sorted order. Operator multisets are joined with ``|``; booleans are
     written as 0/1.
     """
-    space = feature_space(idiom)
-    names = sorted(space.dims)
+    names = sorted(_SPACES[idiom])
     writer = csv.writer(fileobj)
     writer.writerow(["idiom"] + names)
     count = 0

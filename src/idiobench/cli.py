@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from idiobench.catalog import (
-    SIZES,
     FeatureVector,
     IdiomKind,
     enumerate_matrix,
@@ -95,11 +94,6 @@ def _cmd_refactor(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _trial_sizes(count: int) -> list[int]:
-    ladder = list(SIZES)
-    return ladder[: max(1, min(count, len(ladder)))]
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from idiobench.equivalence import check, trial_sizes_for
 
@@ -109,9 +103,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 1
     divergent = 0
     for pair in pairs:
-        sizes: Sequence[int | None] | None = None
-        if args.trials is not None and trial_sizes_for(pair) != [None]:
-            sizes = _trial_sizes(args.trials)
+        sizes = None if args.trials is None else trial_sizes_for(pair, args.trials)
         record: dict[str, Any] = {"pair_id": pair.pair_id, "idiom": pair.idiom.value}
         try:
             report = check(pair, sizes=sizes)
@@ -301,7 +293,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     import subprocess
 
     from idiobench.bench import ChildCrash
-    from idiobench.bytecode import CompileError, diff_report
+    from idiobench.bytecode import diff_report
 
     pairs = load_pairs(Path(args.in_dir))
     if not pairs:
@@ -309,12 +301,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         return 1
     unclassified = errors = 0
     for pair in pairs:
-        if not pair.idiomatic_source.strip():
-            log.warning("pair %s has no idiomatic half; skipped", pair.pair_id)
-            continue
         try:
             record = diff_report(pair, probe=args.probe)
-        except (ChildCrash, CompileError, subprocess.TimeoutExpired) as exc:
+        except (ChildCrash, ValueError, subprocess.TimeoutExpired) as exc:
             errors += 1
             log.error("pair %s: %s", pair.pair_id, exc)
             record = {"pair_id": pair.pair_id, "root_cause": "Error", "evidence": [str(exc)]}

@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from idiobench import child
-from idiobench.catalog import IdiomKind
+from idiobench.catalog import SIZES, IdiomKind
 from idiobench.synth import CodePair, setup_for_size, wrap_snapshot
 
 #: Sizes every sized pair is re-checked at; chosen small so trials stay
 #: fast while still exercising empty, singleton, and multi-element data.
-DEFAULT_TRIAL_SIZES = (0, 1, 10, 100)
+DEFAULT_TRIAL_SIZES = SIZES[:4]
 
 #: Bindings created and consumed by the idiom patterns themselves:
 #: temporaries (t_0), flags (flag_0), loop variables and unpacking
@@ -133,9 +133,13 @@ def _comparable(
     }
 
 
-def trial_sizes_for(pair: CodePair) -> list[int | None]:
+def trial_sizes_for(
+    pair: CodePair, count: int = len(DEFAULT_TRIAL_SIZES)
+) -> list[int | None]:
+    """The first ``count`` sizes of ``SIZES`` (at least one) for a sized
+    pair; a single native-setup trial, ``[None]``, otherwise."""
     if pair.features is not None and pair.features.size is not None:
-        return list(DEFAULT_TRIAL_SIZES)
+        return list(SIZES[: max(1, count)])
     return [None]
 
 

@@ -6,13 +6,17 @@ hints (element lengths, slice flags, index values) that a caller holding
 the pair's feature vector can supply; without hints the transforms fall
 back to conservative rules (always emit a starred leftover target,
 reject variable subscript indices).
+
+Each idiom has exactly one matcher in ``_MATCHERS``: ``refactor``
+applies it, and ``detect`` reports where it would apply.
 """
 
 from __future__ import annotations
 
 import ast
 import copy
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 from idiobench.catalog import IdiomKind
 
@@ -45,59 +49,24 @@ def _names_in(node: ast.AST) -> set[str]:
 # Comprehensions
 # ============================================================
 
-_COMP_HEADS: dict[IdiomKind, Callable[[ast.stmt], str | None]] = {}
+def _empty_call(value: ast.expr, name: str) -> bool:
+    return (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id == name
+        and not value.args
+        and not value.keywords
+    )
 
 
-def _list_head(stmt: ast.stmt) -> str | None:
-    if (
-        isinstance(stmt, ast.Assign)
-        and len(stmt.targets) == 1
-        and isinstance(stmt.targets[0], ast.Name)
-        and isinstance(stmt.value, ast.List)
-        and not stmt.value.elts
-    ):
-        return stmt.targets[0].id
-    return None
-
-
-def _set_head(stmt: ast.stmt) -> str | None:
-    if (
-        isinstance(stmt, ast.Assign)
-        and len(stmt.targets) == 1
-        and isinstance(stmt.targets[0], ast.Name)
-        and isinstance(stmt.value, ast.Call)
-        and isinstance(stmt.value.func, ast.Name)
-        and stmt.value.func.id == "set"
-        and not stmt.value.args
-        and not stmt.value.keywords
-    ):
-        return stmt.targets[0].id
-    return None
-
-
-def _dict_head(stmt: ast.stmt) -> str | None:
-    if (
-        isinstance(stmt, ast.Assign)
-        and len(stmt.targets) == 1
-        and isinstance(stmt.targets[0], ast.Name)
-    ):
-        v = stmt.value
-        if isinstance(v, ast.Dict) and not v.keys:
-            return stmt.targets[0].id
-        if (
-            isinstance(v, ast.Call)
-            and isinstance(v.func, ast.Name)
-            and v.func.id == "dict"
-            and not v.args
-            and not v.keywords
-        ):
-            return stmt.targets[0].id
-    return None
-
-
-_COMP_HEADS[IdiomKind.LIST_COMPREHENSION] = _list_head
-_COMP_HEADS[IdiomKind.SET_COMPREHENSION] = _set_head
-_COMP_HEADS[IdiomKind.DICT_COMPREHENSION] = _dict_head
+#: The empty container each comprehension's result variable starts as.
+_COMP_INITS: dict[IdiomKind, Callable[[ast.expr], bool]] = {
+    IdiomKind.LIST_COMPREHENSION: lambda v: isinstance(v, ast.List) and not v.elts,
+    IdiomKind.SET_COMPREHENSION: lambda v: _empty_call(v, "set"),
+    IdiomKind.DICT_COMPREHENSION: lambda v: (
+        (isinstance(v, ast.Dict) and not v.keys) or _empty_call(v, "dict")
+    ),
+}
 
 
 def _collect_generators(loop: ast.For) -> tuple[list[ast.comprehension], ast.stmt] | None:
@@ -149,10 +118,13 @@ def _comp_leaf(idiom: IdiomKind, leaf: ast.stmt, result: str) -> tuple[ast.expr,
 
 
 def _try_comprehension(
-    idiom: IdiomKind, stmts: list[ast.stmt], i: int
-) -> tuple[ast.stmt, int] | None:
-    result = _COMP_HEADS[idiom](stmts[i])
-    if result is None or i + 1 >= len(stmts) or not isinstance(stmts[i + 1], ast.For):
+    idiom: IdiomKind, stmts: list[ast.stmt], i: int, hints: dict[str, Any]
+) -> tuple[list[ast.stmt], int] | None:
+    head = _single_name_assign(stmts[i])
+    if head is None or not _COMP_INITS[idiom](head[1]):
+        return None
+    result = head[0]
+    if i + 1 >= len(stmts) or not isinstance(stmts[i + 1], ast.For):
         return None
     collected = _collect_generators(stmts[i + 1])
     if collected is None:
@@ -172,7 +144,7 @@ def _try_comprehension(
     new = ast.Assign(
         targets=[ast.Name(id=result, ctx=ast.Store())], value=value
     )
-    return new, 2
+    return [new], 2
 
 
 # ============================================================
@@ -187,58 +159,49 @@ def _flip_compare(left: ast.expr, op: ast.cmpop, right: ast.expr):
     return right, mirror(), left
 
 
-class _ChainTransformer(ast.NodeTransformer):
-    def __init__(self) -> None:
-        self.count = 0
+def _merge_links(links) -> ast.Compare | None:
+    first_left, first_op, first_right = links[0]
+    candidates = [(first_left, first_op, first_right)]
+    flipped = _flip_compare(first_left, first_op, first_right)
+    if flipped is not None:
+        candidates.append(flipped)
+    for left, op, right in candidates:
+        ops = [op]
+        comparators = [right]
+        tail = right
+        ok = True
+        for c_left, c_op, c_right in links[1:]:
+            if _same(tail, c_left):
+                ops.append(c_op)
+                comparators.append(c_right)
+                tail = c_right
+                continue
+            flip = _flip_compare(c_left, c_op, c_right)
+            if flip is not None and _same(tail, flip[0]):
+                ops.append(flip[1])
+                comparators.append(flip[2])
+                tail = flip[2]
+                continue
+            ok = False
+            break
+        if ok:
+            return ast.Compare(left=left, ops=ops, comparators=comparators)
+    return None
 
-    def visit_BoolOp(self, node: ast.BoolOp) -> ast.AST:
-        self.generic_visit(node)
-        if not isinstance(node.op, ast.And):
-            return node
-        links: list[tuple[ast.expr, ast.cmpop, ast.expr]] = []
-        for value in node.values:
-            if not (
-                isinstance(value, ast.Compare)
-                and len(value.ops) == 1
-                and len(value.comparators) == 1
-            ):
-                return node
-            links.append((value.left, value.ops[0], value.comparators[0]))
-        merged = self._merge(links)
-        if merged is None:
-            return node
-        self.count += 1
-        return merged
 
-    @staticmethod
-    def _merge(links) -> ast.Compare | None:
-        first_left, first_op, first_right = links[0]
-        candidates = [(first_left, first_op, first_right)]
-        flipped = _flip_compare(first_left, first_op, first_right)
-        if flipped is not None:
-            candidates.append(flipped)
-        for left, op, right in candidates:
-            ops = [op]
-            comparators = [right]
-            tail = right
-            ok = True
-            for c_left, c_op, c_right in links[1:]:
-                if _same(tail, c_left):
-                    ops.append(c_op)
-                    comparators.append(c_right)
-                    tail = c_right
-                    continue
-                flip = _flip_compare(c_left, c_op, c_right)
-                if flip is not None and _same(tail, flip[0]):
-                    ops.append(flip[1])
-                    comparators.append(flip[2])
-                    tail = flip[2]
-                    continue
-                ok = False
-                break
-            if ok:
-                return ast.Compare(left=left, ops=ops, comparators=comparators)
+def _match_chain(node: ast.BoolOp, hints: dict[str, Any]) -> ast.Compare | None:
+    if not isinstance(node.op, ast.And):
         return None
+    links: list[tuple[ast.expr, ast.cmpop, ast.expr]] = []
+    for value in node.values:
+        if not (
+            isinstance(value, ast.Compare)
+            and len(value.ops) == 1
+            and len(value.comparators) == 1
+        ):
+            return None
+        links.append((value.left, value.ops[0], value.comparators[0]))
+    return _merge_links(links)
 
 
 # ============================================================
@@ -282,7 +245,7 @@ def _is_empty_literal(node: ast.expr) -> bool:
     return False
 
 
-def _truth_test_rewrite(test: ast.expr) -> ast.expr | None:
+def _match_truth_test(test: ast.expr, hints: dict[str, Any]) -> ast.expr | None:
     if not (
         isinstance(test, ast.Compare)
         and len(test.ops) == 1
@@ -294,30 +257,6 @@ def _truth_test_rewrite(test: ast.expr) -> ast.expr | None:
     if isinstance(test.ops[0], ast.NotEq):
         return test.left
     return ast.UnaryOp(op=ast.Not(), operand=test.left)
-
-
-class _TruthTestTransformer(ast.NodeTransformer):
-    def __init__(self) -> None:
-        self.count = 0
-
-    def _rewrite(self, node):
-        new_test = _truth_test_rewrite(node.test)
-        if new_test is not None:
-            node.test = new_test
-            self.count += 1
-        return node
-
-    def visit_If(self, node: ast.If) -> ast.AST:
-        self.generic_visit(node)
-        return self._rewrite(node)
-
-    def visit_While(self, node: ast.While) -> ast.AST:
-        self.generic_visit(node)
-        return self._rewrite(node)
-
-    def visit_Assert(self, node: ast.Assert) -> ast.AST:
-        self.generic_visit(node)
-        return self._rewrite(node)
 
 
 # ============================================================
@@ -344,7 +283,9 @@ def _find_flag_break(loop_body: list[ast.stmt], flag: str) -> ast.If | None:
     return None
 
 
-def _try_loop_else(stmts: list[ast.stmt], i: int) -> tuple[list[ast.stmt], int] | None:
+def _try_loop_else(
+    stmts: list[ast.stmt], i: int, hints: dict[str, Any]
+) -> tuple[list[ast.stmt], int] | None:
     head = stmts[i]
     if not (
         isinstance(head, ast.Assign)
@@ -409,7 +350,7 @@ def _single_name_assign(stmt: ast.stmt) -> tuple[str, ast.expr] | None:
     return None
 
 
-def _try_swap_rotation(stmts: list[ast.stmt], i: int) -> tuple[ast.stmt, int] | None:
+def _try_swap_rotation(stmts: list[ast.stmt], i: int) -> tuple[list[ast.stmt], int] | None:
     """Match ``t = a_0; a_0 = a_1; ...; a_{k-1} = t`` temp rotations."""
     first = _single_name_assign(stmts[i])
     if first is None or not isinstance(first[1], ast.Name):
@@ -447,10 +388,10 @@ def _try_swap_rotation(stmts: list[ast.stmt], i: int) -> tuple[ast.stmt, int] | 
             elts=[ast.Name(id=v, ctx=ast.Load()) for v in values], ctx=ast.Load()
         ),
     )
-    return new, len(chain) + 1
+    return [new], len(chain) + 1
 
 
-def _try_independent_run(stmts: list[ast.stmt], i: int) -> tuple[ast.stmt, int] | None:
+def _try_independent_run(stmts: list[ast.stmt], i: int) -> tuple[list[ast.stmt], int] | None:
     """Merge a maximal run of order-independent single assignments."""
     run: list[tuple[str, ast.expr]] = []
     seen_targets: set[str] = set()
@@ -476,14 +417,14 @@ def _try_independent_run(stmts: list[ast.stmt], i: int) -> tuple[ast.stmt, int] 
         ],
         value=ast.Tuple(elts=[v for _, v in run], ctx=ast.Load()),
     )
-    return new, len(run)
+    return [new], len(run)
 
 
 def _try_assign_multi(
-    stmts: list[ast.stmt], i: int, hints: dict[str, Any] | None = None
-) -> tuple[ast.stmt, int] | None:
+    stmts: list[ast.stmt], i: int, hints: dict[str, Any]
+) -> tuple[list[ast.stmt], int] | None:
     hit = _try_swap_rotation(stmts, i)
-    if hit is not None or (hints or {}).get("swap_only"):
+    if hit is not None or hints.get("swap_only"):
         # A caller measuring a temp rotation leaves surrounding plain
         # assignment runs alone so both variants share them verbatim.
         return hit
@@ -503,58 +444,52 @@ def _subscript_index(node: ast.expr, index_values: dict[str, int] | None) -> int
     return None
 
 
-class _StarCallTransformer(ast.NodeTransformer):
-    def __init__(self, hints: dict[str, Any]) -> None:
-        self.hints = hints
-        self.count = 0
+def _match_star_call(node: ast.Call, hints: dict[str, Any]) -> ast.Call | None:
+    if node.keywords or len(node.args) < 1:
+        return None
+    seq_name: str | None = None
+    indices: list[int] = []
+    for arg in node.args:
+        if not (
+            isinstance(arg, ast.Subscript)
+            and isinstance(arg.value, ast.Name)
+            and not isinstance(arg.slice, ast.Slice)
+        ):
+            return None
+        if seq_name is None:
+            seq_name = arg.value.id
+        elif arg.value.id != seq_name:
+            return None
+        idx = _subscript_index(arg.slice, hints.get("index_values"))
+        if idx is None:
+            return None
+        indices.append(idx)
+    n = len(indices)
+    if indices != list(range(n)):
+        return None
+    assert seq_name is not None
+    starred = ast.Starred(value=_star_operand(seq_name, n, hints), ctx=ast.Load())
+    return ast.Call(func=node.func, args=[starred], keywords=[])
 
-    def visit_Call(self, node: ast.Call) -> ast.AST:
-        self.generic_visit(node)
-        if node.keywords or len(node.args) < 1:
-            return node
-        seq_name: str | None = None
-        indices: list[int] = []
-        for arg in node.args:
-            if not (
-                isinstance(arg, ast.Subscript)
-                and isinstance(arg.value, ast.Name)
-                and not isinstance(arg.slice, ast.Slice)
-            ):
-                return node
-            if seq_name is None:
-                seq_name = arg.value.id
-            elif arg.value.id != seq_name:
-                return node
-            idx = _subscript_index(arg.slice, self.hints.get("index_values"))
-            if idx is None:
-                return node
-            indices.append(idx)
-        n = len(indices)
-        if indices != list(range(n)):
-            return node
-        assert seq_name is not None
-        node.args = [ast.Starred(value=self._unpacked(seq_name, n), ctx=ast.Load())]
-        self.count += 1
-        return node
 
-    def _unpacked(self, seq_name: str, n: int) -> ast.expr:
-        base = ast.Name(id=seq_name, ctx=ast.Load())
-        list_len = self.hints.get("list_len")
-        flags = self.hints.get("slice_flags")
-        if flags is not None and not flags.get("has_subscript", True):
-            return base
-        if flags is None and list_len == n:
-            return base
-        lower = ast.Constant(value=0) if flags and flags.get("has_lower") else None
-        step = ast.Constant(value=1) if flags and flags.get("has_step") else None
-        upper: ast.expr | None = ast.Constant(value=n)
-        if flags is not None and not flags.get("has_upper"):
-            upper = None
-        return ast.Subscript(
-            value=base,
-            slice=ast.Slice(lower=lower, upper=upper, step=step),
-            ctx=ast.Load(),
-        )
+def _star_operand(seq_name: str, n: int, hints: dict[str, Any]) -> ast.expr:
+    base = ast.Name(id=seq_name, ctx=ast.Load())
+    list_len = hints.get("list_len")
+    flags = hints.get("slice_flags")
+    if flags is not None and not flags.get("has_subscript", True):
+        return base
+    if flags is None and list_len == n:
+        return base
+    lower = ast.Constant(value=0) if flags and flags.get("has_lower") else None
+    step = ast.Constant(value=1) if flags and flags.get("has_step") else None
+    upper: ast.expr | None = ast.Constant(value=n)
+    if flags is not None and not flags.get("has_upper"):
+        upper = None
+    return ast.Subscript(
+        value=base,
+        slice=ast.Slice(lower=lower, upper=upper, step=step),
+        ctx=ast.Load(),
+    )
 
 
 # ============================================================
@@ -629,58 +564,107 @@ def _try_for_multi(stmts: list[ast.stmt], i: int, hints: dict[str, Any]):
 # ============================================================
 
 
+class _Matcher(NamedTuple):
+    """One idiom's rewrite rule.
+
+    With ``on`` empty, ``match(stmts, i, hints)`` tests the statement run
+    starting at ``stmts[i]`` and returns ``(replacement statements,
+    consumed)``.
+    Otherwise ``match(expr, hints)`` is offered each node of an ``on``
+    type, or that node's ``field`` when one is named, and returns the
+    replacement expression. Neither form mutates its input, and ``None``
+    means no site.
+    """
+
+    match: Callable[..., Any]
+    on: tuple[type, ...] = ()
+    field: str | None = None
+
+
+_MATCHERS: dict[IdiomKind, _Matcher] = {
+    IdiomKind.LIST_COMPREHENSION: _Matcher(
+        partial(_try_comprehension, IdiomKind.LIST_COMPREHENSION)
+    ),
+    IdiomKind.SET_COMPREHENSION: _Matcher(
+        partial(_try_comprehension, IdiomKind.SET_COMPREHENSION)
+    ),
+    IdiomKind.DICT_COMPREHENSION: _Matcher(
+        partial(_try_comprehension, IdiomKind.DICT_COMPREHENSION)
+    ),
+    IdiomKind.CHAIN_COMPARISON: _Matcher(_match_chain, (ast.BoolOp,)),
+    IdiomKind.TRUTH_VALUE_TEST: _Matcher(
+        _match_truth_test, (ast.If, ast.While, ast.Assert), "test"
+    ),
+    IdiomKind.LOOP_ELSE: _Matcher(_try_loop_else),
+    IdiomKind.ASSIGN_MULTI_TARGETS: _Matcher(_try_assign_multi),
+    IdiomKind.STAR_IN_FUNC_CALL: _Matcher(_match_star_call, (ast.Call,)),
+    IdiomKind.FOR_MULTI_TARGETS: _Matcher(_try_for_multi),
+}
+
+
+def _stmt_lists(node: ast.AST):
+    """Yield ``(field, statements)`` for each non-empty statement list."""
+    for attr in ("body", "orelse", "finalbody"):
+        stmts = getattr(node, attr, None)
+        if isinstance(stmts, list) and stmts:
+            yield attr, stmts
+
+
+def _runs(stmts: list[ast.stmt], match: Callable[..., Any], hints: dict[str, Any]):
+    """Yield ``(i, replacement, consumed)`` for each site, left to right.
+
+    A site's statements are consumed, so sites never overlap.
+    """
+    i = 0
+    while i < len(stmts):
+        hit = match(stmts, i, hints)
+        if hit is None:
+            i += 1
+        else:
+            yield i, *hit
+            i += hit[1]
+
+
 def _rewrite_stmt_lists(
-    tree: ast.AST,
-    matcher: Callable[[list[ast.stmt], int], tuple[Any, int] | None],
+    tree: ast.AST, match: Callable[..., Any], hints: dict[str, Any]
 ) -> int:
     """Apply a statement-run matcher to every statement list in the tree."""
     count = 0
     for node in ast.walk(tree):
-        for attr in ("body", "orelse", "finalbody"):
-            stmts = getattr(node, attr, None)
-            if not isinstance(stmts, list) or not stmts:
-                continue
+        for attr, stmts in _stmt_lists(node):
             out: list[ast.stmt] = []
-            i = 0
-            while i < len(stmts):
-                hit = matcher(stmts, i)
-                if hit is None:
-                    out.append(stmts[i])
-                    i += 1
-                else:
-                    replacement, consumed = hit
-                    if isinstance(replacement, list):
-                        out.extend(replacement)
-                    else:
-                        out.append(replacement)
-                    i += consumed
-                    count += 1
+            done = 0
+            for i, replacement, consumed in _runs(stmts, match, hints):
+                out.extend(stmts[done:i])
+                out.extend(replacement)
+                done = i + consumed
+                count += 1
+            out.extend(stmts[done:])
             setattr(node, attr, out)
     return count
 
 
-def _apply(tree: ast.Module, idiom: IdiomKind, hints: dict[str, Any]) -> int:
-    if idiom in _COMP_HEADS:
-        return _rewrite_stmt_lists(tree, lambda s, i: _try_comprehension(idiom, s, i))
-    if idiom is IdiomKind.CHAIN_COMPARISON:
-        t = _ChainTransformer()
-        t.visit(tree)
-        return t.count
-    if idiom is IdiomKind.TRUTH_VALUE_TEST:
-        t = _TruthTestTransformer()
-        t.visit(tree)
-        return t.count
-    if idiom is IdiomKind.LOOP_ELSE:
-        return _rewrite_stmt_lists(tree, _try_loop_else)
-    if idiom is IdiomKind.ASSIGN_MULTI_TARGETS:
-        return _rewrite_stmt_lists(tree, lambda s, i: _try_assign_multi(s, i, hints))
-    if idiom is IdiomKind.STAR_IN_FUNC_CALL:
-        t = _StarCallTransformer(hints)
-        t.visit(tree)
-        return t.count
-    if idiom is IdiomKind.FOR_MULTI_TARGETS:
-        return _rewrite_stmt_lists(tree, lambda s, i: _try_for_multi(s, i, hints))
-    raise ValueError(f"unknown idiom {idiom!r}")
+class _ExprRewriter(ast.NodeTransformer):
+    """Apply an expression matcher to every node it is offered, bottom-up."""
+
+    def __init__(self, matcher: _Matcher, hints: dict[str, Any]) -> None:
+        self.matcher = matcher
+        self.hints = hints
+        self.count = 0
+
+    def generic_visit(self, node: ast.AST) -> ast.AST:
+        super().generic_visit(node)
+        on, field = self.matcher.on, self.matcher.field
+        if not isinstance(node, on):
+            return node
+        new = self.matcher.match(getattr(node, field) if field else node, self.hints)
+        if new is None:
+            return node
+        self.count += 1
+        if field is None:
+            return new
+        setattr(node, field, new)
+        return node
 
 
 def refactor(source: str, idiom: IdiomKind, hints: dict[str, Any] | None = None) -> str:
@@ -700,24 +684,45 @@ def refactor(source: str, idiom: IdiomKind, hints: dict[str, Any] | None = None)
         NotApplicable: no transformable site was found.
     """
     tree = ast.parse(source)
-    count = _apply(tree, idiom, hints or {})
+    matcher, hints = _MATCHERS[idiom], hints or {}
+    if matcher.on:
+        rewriter = _ExprRewriter(matcher, hints)
+        rewriter.visit(tree)
+        count = rewriter.count
+    else:
+        count = _rewrite_stmt_lists(tree, matcher.match, hints)
     if count == 0:
         raise NotApplicable(f"no {idiom.value} site found")
     ast.fix_missing_locations(tree)
     return ast.unparse(tree) + "\n"
 
 
+def _span(first: ast.AST, last: ast.AST) -> tuple[int, int]:
+    return first.lineno, last.end_lineno or last.lineno
+
+
 def detect(source: str) -> list[tuple[IdiomKind, tuple[int, int]]]:
     """Report refactorable sites as (idiom, (first line, last line)).
 
-    Spans are 1-based and inclusive, computed on a reparse of the
-    source. A site is reported when the idiom's transform would change
-    the tree.
+    Spans are 1-based and inclusive. The source is parsed and walked
+    once; each idiom's matcher runs, without hints, on the original
+    nodes, and a site is reported wherever it would rewrite. Sites are
+    ordered by span, ties in ``IdiomKind`` order.
     """
-    results: list[tuple[IdiomKind, tuple[int, int]]] = []
-    for idiom in IdiomKind:
-        spans = _collect_spans(ast.parse(source), idiom)
-        results.extend((idiom, span) for span in spans)
+    runs = [(idiom, m.match) for idiom, m in _MATCHERS.items() if not m.on]
+    exprs = [(idiom, m) for idiom, m in _MATCHERS.items() if m.on]
+    found: dict[IdiomKind, list[tuple[int, int]]] = {idiom: [] for idiom in IdiomKind}
+    for node in ast.walk(ast.parse(source)):
+        for _, stmts in _stmt_lists(node):
+            for idiom, match in runs:
+                for i, _, consumed in _runs(stmts, match, {}):
+                    found[idiom].append(_span(stmts[i], stmts[i + consumed - 1]))
+        for idiom, m in exprs:
+            if isinstance(node, m.on):
+                expr = getattr(node, m.field) if m.field else node
+                if m.match(expr, {}) is not None:
+                    found[idiom].append(_span(expr, expr))
+    results = [(idiom, span) for idiom, spans in found.items() for span in spans]
     results.sort(key=lambda item: item[1])
     return results
 
@@ -760,56 +765,3 @@ def refactor_pair(pair):
     idiomatic = refactor(pair.non_idiomatic_source, pair.idiom, hints_for(pair.features))
     compile(idiomatic, "<idiomatic>", "exec")
     return dataclasses.replace(pair, idiomatic_source=idiomatic)
-
-
-def _collect_spans(tree: ast.Module, idiom: IdiomKind) -> list[tuple[int, int]]:
-    spans: list[tuple[int, int]] = []
-
-    if idiom in _COMP_HEADS:
-        def matcher(stmts: list[ast.stmt], i: int):
-            hit = _try_comprehension(idiom, stmts, i)
-            if hit is not None:
-                spans.append((stmts[i].lineno, stmts[i + 1].end_lineno or stmts[i + 1].lineno))
-            return hit
-        _rewrite_stmt_lists(tree, matcher)
-    elif idiom is IdiomKind.CHAIN_COMPARISON:
-        t = _ChainTransformer()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.BoolOp):
-                if not isinstance(t.visit_BoolOp(copy.deepcopy(node)), ast.BoolOp):
-                    spans.append((node.lineno, node.end_lineno or node.lineno))
-    elif idiom is IdiomKind.TRUTH_VALUE_TEST:
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.If, ast.While, ast.Assert)):
-                if _truth_test_rewrite(node.test) is not None:
-                    spans.append((node.test.lineno, node.test.end_lineno or node.test.lineno))
-    elif idiom is IdiomKind.LOOP_ELSE:
-        def matcher(stmts: list[ast.stmt], i: int):
-            hit = _try_loop_else(stmts, i)
-            if hit is not None:
-                last = stmts[i + hit[1] - 1]
-                spans.append((stmts[i].lineno, last.end_lineno or last.lineno))
-            return hit
-        _rewrite_stmt_lists(tree, matcher)
-    elif idiom is IdiomKind.ASSIGN_MULTI_TARGETS:
-        def matcher(stmts: list[ast.stmt], i: int):
-            hit = _try_assign_multi(stmts, i)
-            if hit is not None:
-                last = stmts[i + hit[1] - 1]
-                spans.append((stmts[i].lineno, last.end_lineno or last.lineno))
-            return hit
-        _rewrite_stmt_lists(tree, matcher)
-    elif idiom is IdiomKind.STAR_IN_FUNC_CALL:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                t = _StarCallTransformer({})
-                if t.visit(copy.deepcopy(node)) and t.count:
-                    spans.append((node.lineno, node.end_lineno or node.lineno))
-    elif idiom is IdiomKind.FOR_MULTI_TARGETS:
-        def matcher(stmts: list[ast.stmt], i: int):
-            hit = _try_for_multi(stmts, i, {})
-            if hit is not None:
-                spans.append((stmts[i].lineno, stmts[i].end_lineno or stmts[i].lineno))
-            return hit
-        _rewrite_stmt_lists(tree, matcher)
-    return spans

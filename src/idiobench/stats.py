@@ -38,10 +38,6 @@ class EmptyInput(ValueError):
     pass
 
 
-class ConstantFeature(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class PerfChange:
     rho: float
@@ -456,7 +452,3 @@ def write_results_csv(results: Iterable[PairResult], fh: TextIO) -> None:
             r.change.classification,
         ]
         writer.writerow(row)
-
-
-def read_results_csv(fh: TextIO) -> list[dict[str, str]]:
-    return list(csv.DictReader(fh))

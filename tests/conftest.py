@@ -5,20 +5,14 @@ from __future__ import annotations
 import pytest
 
 from idiobench.catalog import IdiomKind, enumerate_matrix
+from idiobench.cli import _stratified_indices
 from idiobench.refactor import refactor_pair
 from idiobench.synth import CodePair, synthesize
 
 
 def stratified(items: list, limit: int, seed: int = 0) -> list:
-    """Deterministic systematic sample with a seeded offset."""
-    if limit >= len(items):
-        return list(items)
-    import random
-
-    total = len(items)
-    offset = random.Random(seed).randrange(total)
-    picks = sorted((offset + (i * total) // limit) % total for i in range(limit))
-    return [items[i] for i in picks]
+    """The items ``gen --limit`` would pick: equal strides, seeded offset."""
+    return [items[i] for i in _stratified_indices(len(items), limit, seed)]
 
 
 def sample_vectors(idiom: IdiomKind, limit: int, seed: int = 0) -> list:

@@ -339,7 +339,8 @@ def test_stats_skips_a_partial_grid(pipeline_dir, tmp_path, capsys):
     assert len(rows) == 2 and pairs[1].pair_id in rows[1]
 
 
-def test_check_and_bench_isolate_a_pair_without_idiomatic_half(tmp_path, capsys):
+def _store_with_blank_idiomatic_half(tmp_path, capsys):
+    """Three refactored loop-else pairs; the second loses its idiomatic half."""
     import dataclasses
 
     from idiobench.synth import save_pair
@@ -352,6 +353,11 @@ def test_check_and_bench_isolate_a_pair_without_idiomatic_half(tmp_path, capsys)
     assert len(pairs) == 3
     blank = pairs[1]
     save_pair(dataclasses.replace(blank, idiomatic_source=""), pairs_dir)
+    return pairs_dir, pairs, blank
+
+
+def test_check_and_bench_isolate_a_pair_without_idiomatic_half(tmp_path, capsys):
+    pairs_dir, pairs, blank = _store_with_blank_idiomatic_half(tmp_path, capsys)
 
     code, out = _run(capsys, "check", "--in", str(pairs_dir))
     assert code == 1
@@ -381,6 +387,21 @@ def test_check_and_bench_isolate_a_pair_without_idiomatic_half(tmp_path, capsys)
     from idiobench.bench import TimingStore
 
     assert set(TimingStore(timings).pair_ids()) == {pairs[0].pair_id, pairs[2].pair_id}
+
+
+def test_diff_isolates_a_pair_without_idiomatic_half(tmp_path, capsys):
+    pairs_dir, pairs, blank = _store_with_blank_idiomatic_half(tmp_path, capsys)
+
+    code, out = _run(capsys, "diff", "--in", str(pairs_dir))
+    assert code == 1
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["pair_id"] for r in records] == [p.pair_id for p in pairs]
+    assert records[1] == {
+        "pair_id": blank.pair_id,
+        "root_cause": "Error",
+        "evidence": [f"pair {blank.pair_id} has no idiomatic source"],
+    }
+    assert records[0]["root_cause"] != "Error" and records[2]["root_cause"] != "Error"
 
 
 _MODULES_AFTER_MAIN = """\

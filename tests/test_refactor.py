@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -429,6 +431,42 @@ def test_detect_finds_synthesized_site(idiom):
             # unpacking is faithful, so hint-free detection skips them.
             continue
         assert idiom in kinds, vector.dims()
+
+
+def test_detect_does_not_report_a_call_enclosing_a_star_site():
+    found = detect("print(\n    f(e[0], e[1]),\n)\n")
+    assert found == [(IdiomKind.STAR_IN_FUNC_CALL, (2, 2))]
+
+
+_STDLIB_SOURCES = (
+    "textwrap", "shlex", "fractions", "heapq", "colorsys",
+    "statistics", "difflib", "string", "calendar", "bisect",
+)
+
+
+def _agreement_sources() -> list[tuple[str, str]]:
+    sources = [
+        (f"{idiom.value}-{n}", synthesize(vector).non_idiomatic_source)
+        for idiom in IdiomKind
+        for n, vector in enumerate(sample_vectors(idiom, 6))
+    ]
+    for name in _STDLIB_SOURCES:
+        origin = importlib.util.find_spec(name).origin
+        sources.append((name, Path(origin).read_text(encoding="utf-8")))
+    return sources
+
+
+@pytest.mark.parametrize("source", [pytest.param(s, id=n) for n, s in _agreement_sources()])
+def test_detect_agrees_with_refactor(source):
+    """An idiom is detected exactly where refactor finds a site for it."""
+    detected = {k for k, _ in detect(source)}
+    for idiom in IdiomKind:
+        try:
+            refactor(source, idiom)
+            applies = True
+        except NotApplicable:
+            applies = False
+        assert (idiom in detected) == applies, idiom.value
 
 
 def test_hints_for_none_features():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 
@@ -15,7 +16,6 @@ from idiobench.stats import (
     SLOWDOWN,
     SPEEDUP,
     UNCHANGED,
-    ConstantFeature,
     DistributionSummary,
     EmptyInput,
     PairResult,
@@ -28,7 +28,6 @@ from idiobench.stats import (
     distribution_summary,
     feature_correlation,
     perf_change,
-    read_results_csv,
     write_results_csv,
 )
 
@@ -376,7 +375,7 @@ def test_results_csv_round_trip():
     buf = io.StringIO()
     write_results_csv(results, buf)
     buf.seek(0)
-    rows = read_results_csv(buf)
+    rows = list(csv.DictReader(buf))
     assert len(rows) == 3
     assert rows[0]["pair_id"] == "id-0"
     assert rows[0]["idiom"] == "chain-comparison"
@@ -391,7 +390,7 @@ def test_results_csv_handles_missing_features():
     buf = io.StringIO()
     write_results_csv(results, buf)
     buf.seek(0)
-    rows = read_results_csv(buf)
+    rows = list(csv.DictReader(buf))
     assert rows[0]["classification"] == SLOWDOWN
     assert rows[0]["pair_id"] == "ext-1"
 
@@ -402,6 +401,6 @@ def test_results_csv_floats_survive_exactly():
     buf = io.StringIO()
     write_results_csv([PairResult("x", IdiomKind.LOOP_ELSE, vector, change)], buf)
     buf.seek(0)
-    row = read_results_csv(buf)[0]
+    row = list(csv.DictReader(buf))[0]
     assert float(row["rho"]) == change.rho
     assert float(row["ci_low"]) == change.ci_low
