@@ -4,9 +4,11 @@ Each variant of a pair is executed in n fresh interpreter processes; a
 process runs the setup once, then times the payload k times with a
 monotonic nanosecond clock. Payloads cheaper than the clock resolution
 are amplified by an inner repetition loop whose count is calibrated once
-per pair and applied identically to both variants, so the ratio of
-interest is unaffected. Invocations alternate between variants to
-spread machine drift across both.
+per pair: one fresh child per variant grows the count in-process until
+an amplified iteration reaches the floor, and the larger of the two
+counts is applied to both variants, so the ratio of interest is
+unaffected. Invocations alternate between variants to spread machine
+drift across both.
 
 Raw results append to a JSON Lines store, one record per invocation,
 keyed by (pair_id, variant, invocation) for idempotent resume.
@@ -22,12 +24,13 @@ import subprocess
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable
 
 from idiobench import child
-from idiobench.synth import CodePair, wrap_scope
+from idiobench.synth import CodePair, wrap_calibration, wrap_scope
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -103,6 +106,8 @@ class TimingMatrix:
 
     def measured(self) -> np.ndarray:
         """Post-warmup per-iteration durations, shape (n, k - warmup)."""
+        import numpy as np
+
         return np.asarray(self.timings_ns, dtype=float)[:, self.warmup :]
 
 
@@ -126,14 +131,16 @@ def _child_env(scrub: bool) -> dict[str, str]:
 
 @lru_cache(maxsize=8)
 def interpreter_id(interpreter: str) -> str:
+    """``<implementation>-<version>`` of ``interpreter``, e.g. ``cpython-3.11.7``."""
     try:
         ident, _ = child.exec_json(
             [
                 interpreter,
                 "-I",
+                "-S",
                 "-c",
-                "import json, platform; print(json.dumps("
-                "platform.python_implementation().lower() + '-' + platform.python_version()))",
+                "import sys; print('\"%s-%s\"' "
+                "% (sys.implementation.name, sys.version.split()[0]))",
             ],
             timeout=30,
         )
@@ -261,27 +268,30 @@ def _variant_source(pair: CodePair, variant: str) -> str:
 def _calibrate_variant(
     pair: CodePair, variant: str, cfg: BenchConfig, interpreter: str
 ) -> int:
-    """Find r so one amplified iteration takes at least min_iteration_ns."""
-    payload = _variant_source(pair, variant)
-    reps = 1
-    while True:
-        module = wrap_scope(
-            payload, pair.setup_source, pair.scope_mode, k_iterations=1, repetitions=reps
-        )
-        record, _ = run_invocation(module, cfg, interpreter)
-        duration = record["timings_ns"][0]
-        if duration >= cfg.min_iteration_ns or reps >= cfg.max_repetitions:
-            return reps
-        # Aim 30% past the floor to absorb run-to-run jitter.
-        factor = max(2.0, 1.3 * cfg.min_iteration_ns / max(duration, 1))
-        reps = min(cfg.max_repetitions, max(reps + 1, int(reps * factor)))
+    """Find r so one amplified iteration takes at least min_iteration_ns.
+
+    One fresh child runs the setup once and grows r in-process (see
+    ``synth.wrap_calibration``); r stops at ``max_repetitions``.
+    """
+    module = wrap_calibration(
+        _variant_source(pair, variant),
+        pair.setup_source,
+        pair.scope_mode,
+        min_iteration_ns=cfg.min_iteration_ns,
+        max_repetitions=cfg.max_repetitions,
+    )
+    record, _ = run_invocation(module, cfg, interpreter)
+    return int(record["repetitions"])
 
 
 def calibrate(pair: CodePair, cfg: BenchConfig, interpreter: str | None = None) -> int:
     """Calibrate the shared repetition count for both variants.
 
-    The larger of the two per-variant counts is used for both, so the
-    amplification factor cancels out of any ratio of the two variants.
+    Each variant is calibrated in one fresh child of its own, which grows
+    the count in-process until one amplified iteration lasts at least
+    ``min_iteration_ns``. The larger of the two counts is used for both,
+    so the amplification factor cancels out of any ratio of the two
+    variants.
     """
     interp = interpreter or resolve_interpreter(cfg)
     return max(

@@ -379,7 +379,12 @@ def vector_from_dims(idiom: IdiomKind, dims: Mapping[str, Any]) -> FeatureVector
     choices = {k: v for k, v in dims.items() if k in fields.choices}
     flags = {k: v for k, v in dims.items() if k in fields.flags}
     if "num_compop" in fields.counts:
-        counts["num_compop"] = len(dims["compops"])
+        # Validate before deriving the count: len() of a non-sequence
+        # would raise TypeError, not IllegalFeature.
+        compops = dims.get("compops")
+        if not _is_legal(compops, fields.legal["compops"]):
+            raise IllegalFeature(f"compops={compops!r} not a legal choice")
+        counts["num_compop"] = len(compops)
     kwargs: dict[str, Any] = {}
     for name in ("is_true", "is_swap", "is_const", "is_break"):
         if name in dims:

@@ -151,6 +151,12 @@ def run_job(job, result_fd):
 # JSON line: {"exitcode", "result", "stderr"} or {"timeout", "stderr"}.
 # Exits on stdin EOF.
 _SERVER = _RUNNER + """
+def exitcode(status):
+    # os.waitstatus_to_exitcode is new in 3.9.
+    if os.WIFEXITED(status):
+        return os.WEXITSTATUS(status)
+    return -os.WTERMSIG(status)
+
 def fork_job(job):
     result_r, result_w = os.pipe()
     err_r, err_w = os.pipe()
@@ -192,7 +198,7 @@ def fork_job(job):
     if timed_out:
         return {"timeout": True, "stderr": stderr}
     return {
-        "exitcode": os.waitstatus_to_exitcode(status),
+        "exitcode": exitcode(status),
         "result": b"".join(chunks[result_r]).decode("utf-8", "replace"),
         "stderr": stderr,
     }

@@ -20,6 +20,7 @@ from typing import Any, Sequence
 from idiobench.catalog import (
     FeatureVector,
     IdiomKind,
+    IllegalFeature,
     enumerate_matrix,
     feature_space,
     matrix_to_csv,
@@ -213,7 +214,7 @@ def _vector_from_csv_row(row: dict[str, str]) -> FeatureVector | None:
         dims[name] = _parse_feature_cell(raw, list(levels))
     try:
         return vector_from_dims(idiom, dims)
-    except Exception:
+    except IllegalFeature:
         return None
 
 

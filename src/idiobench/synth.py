@@ -387,6 +387,56 @@ def _indent(text: str, levels: int) -> str:
     return "\n".join(pad + line if line.strip() else line for line in text.splitlines())
 
 
+def _timed_module(
+    payload: str, setup: str, scope_mode: str, reps: str, loop: str, record: str
+) -> str:
+    """Module text that times ``reps`` repetitions of ``payload`` per pass.
+
+    ``loop`` opens the passes (its body is indented one level), each pass
+    reads the clock into ``__t0`` and ``__t1`` around the amplified
+    payload, and ``record`` ends the pass body.
+    """
+    compile(payload, "<payload>", "exec")
+    header = "import time as __time\n\n" + setup.rstrip("\n")
+    if scope_mode == "Local":
+        body = (
+            "\n\ndef __payload():\n"
+            + f"    for __r in range({reps}):\n"
+            + _indent(payload.rstrip("\n"), 2)
+            + "\n\n"
+            + loop
+            + "    __t0 = __time.perf_counter_ns()\n"
+            + "    __payload()\n"
+            + "    __t1 = __time.perf_counter_ns()\n"
+        )
+    elif scope_mode == "Global":
+        body = (
+            "\n\n"
+            + loop
+            + "    __t0 = __time.perf_counter_ns()\n"
+            + f"    for __r in range({reps}):\n"
+            + _indent(payload.rstrip("\n"), 2)
+            + "\n    __t1 = __time.perf_counter_ns()\n"
+        )
+    else:
+        raise ValueError(f"scope_mode must be Local or Global, got {scope_mode!r}")
+    module = header + body + record
+    compile(module, "<module>", "exec")
+    return module
+
+
+def _print_record(timings: str, repetitions: str) -> str:
+    """A line printing ``{"timings_ns": [...], "repetitions": r}``.
+
+    The child imports no ``json``: every timing is an int, so plain
+    string formatting already gives one valid JSON line.
+    """
+    return (
+        "print('{\"timings_ns\": [%s], \"repetitions\": %d}' "
+        f"% (', '.join(map(str, {timings})), {repetitions}))\n"
+    )
+
+
 def wrap_scope(
     payload: str,
     setup: str,
@@ -404,39 +454,49 @@ def wrap_scope(
     either, outside the timed region. The module prints exactly one JSON
     line: ``{"timings_ns": [...], "repetitions": r}``.
     """
-    compile(payload, "<payload>", "exec")
-    header = "import json as __json\nimport time as __time\n\n" + setup.rstrip("\n")
-    if scope_mode == "Local":
-        body = (
-            "\n\ndef __payload():\n"
-            + f"    for __r in range({repetitions}):\n"
-            + _indent(payload.rstrip("\n"), 2)
-            + "\n\n__timings = []\n"
-            + f"for __i in range({k_iterations}):\n"
-            + "    __t0 = __time.perf_counter_ns()\n"
-            + "    __payload()\n"
-            + "    __t1 = __time.perf_counter_ns()\n"
-            + "    __timings.append(__t1 - __t0)\n"
-        )
-    elif scope_mode == "Global":
-        body = (
-            "\n\n__timings = []\n"
-            + f"for __i in range({k_iterations}):\n"
-            + "    __t0 = __time.perf_counter_ns()\n"
-            + f"    for __r in range({repetitions}):\n"
-            + _indent(payload.rstrip("\n"), 2)
-            + "\n    __t1 = __time.perf_counter_ns()\n"
-            + "    __timings.append(__t1 - __t0)\n"
-        )
-    else:
-        raise ValueError(f"scope_mode must be Local or Global, got {scope_mode!r}")
-    footer = (
-        'print(__json.dumps({"timings_ns": __timings, '
-        f'"repetitions": {repetitions}}}))\n'
+    return _timed_module(
+        payload,
+        setup,
+        scope_mode,
+        str(repetitions),
+        f"__timings = []\nfor __i in range({k_iterations}):\n",
+        "    __timings.append(__t1 - __t0)\n" + _print_record("__timings", str(repetitions)),
     )
-    module = header + body + footer
-    compile(module, "<module>", "exec")
-    return module
+
+
+def wrap_calibration(
+    payload: str,
+    setup: str,
+    scope_mode: str,
+    *,
+    min_iteration_ns: int,
+    max_repetitions: int,
+) -> str:
+    """Build a module that finds ``payload``'s repetition count in-process.
+
+    As ``timeit.Timer.autorange`` does, the module runs the setup once,
+    then times one amplified iteration (the same loop ``wrap_scope``
+    times) at a growing count, starting from 1. It stops once an
+    iteration lasts ``min_iteration_ns`` or the count reaches
+    ``max_repetitions``; otherwise it multiplies the count by
+    ``max(2, 1.3 * min_iteration_ns / duration)``, aiming 30% past the
+    floor to absorb run-to-run jitter. It prints the last duration and
+    count in ``wrap_scope``'s format: ``{"timings_ns": [d],
+    "repetitions": r}``.
+    """
+    return _timed_module(
+        payload,
+        setup,
+        scope_mode,
+        "__reps",
+        "__reps = 1\nwhile True:\n",
+        "    __d = __t1 - __t0\n"
+        + f"    if __d >= {min_iteration_ns} or __reps >= {max_repetitions}:\n"
+        + "        break\n"
+        + f"    __grow = max(2.0, 1.3 * {min_iteration_ns} / max(__d, 1))\n"
+        + f"    __reps = min({max_repetitions}, max(__reps + 1, int(__reps * __grow)))\n"
+        + _print_record("[__d]", "__reps"),
+    )
 
 
 def wrap_snapshot(payload: str, setup: str, scope_mode: str) -> str:

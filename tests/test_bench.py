@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from idiobench.bench import (
     IDIOMATIC,
@@ -16,7 +24,9 @@ from idiobench.bench import (
     EquivalenceGate,
     TimingMatrix,
     TimingStore,
+    _calibrate_variant,
     _child_env,
+    _variant_source,
     calibrate,
     host_id,
     interpreter_id,
@@ -26,7 +36,7 @@ from idiobench.bench import (
 )
 from idiobench.catalog import IdiomKind, enumerate_matrix
 from idiobench.refactor import refactor_pair
-from idiobench.synth import synthesize
+from idiobench.synth import save_pair, synthesize, wrap_scope
 
 FAST_CFG = BenchConfig(
     n_invocations=3, k_iterations=5, warmup=1, min_iteration_ns=50_000, timeout_s=60.0
@@ -41,6 +51,16 @@ def small_pair():
         if v.node_choices["empty_value"] == "int"
         and v.node_choices["test_parent"] == "if"
         and v.scope == "Global"
+    )
+    return refactor_pair(synthesize(vector))
+
+
+@pytest.fixture(scope="module")
+def local_pair():
+    vector = next(
+        v
+        for v in enumerate_matrix(IdiomKind.LIST_COMPREHENSION)
+        if v.size == 10 and v.scope == "Local"
     )
     return refactor_pair(synthesize(vector))
 
@@ -143,6 +163,41 @@ def test_resolve_interpreter_prefers_config_then_env(monkeypatch):
 
 def test_host_id_nonempty():
     assert host_id()
+
+
+def _pyenv_interpreter(minor: int) -> str | None:
+    """A CPython 3.<minor> installed under pyenv, if there is one."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    found = sorted(root.glob(f"3.{minor}.*/bin/python3.{minor}"))
+    return str(found[-1]) if found else None
+
+
+@pytest.mark.parametrize("minor", range(8, 14), ids=lambda minor: f"3.{minor}")
+def test_protocol_runs_on_each_local_interpreter(minor, small_pair, local_pair, tmp_path):
+    import dataclasses
+
+    from idiobench.equivalence import check
+
+    interp = _pyenv_interpreter(minor)
+    if interp is None:
+        pytest.skip(f"no CPython 3.{minor} under pyenv")
+    platform_probe = (
+        "import json, platform; print(json.dumps("
+        "platform.python_implementation().lower() + '-' + platform.python_version()))"
+    )
+    proc = subprocess.run(
+        [interp, "-I", "-c", platform_probe], capture_output=True, text=True, check=True
+    )
+    ident = interpreter_id(interp)
+    assert ident == json.loads(proc.stdout)
+    cfg = dataclasses.replace(FAST_CFG, n_invocations=2, k_iterations=3, interpreter=interp)
+    for pair in (small_pair, local_pair):
+        assert check(pair, interpreter=interp).status == "Equivalent"
+        store = TimingStore(tmp_path / f"{pair.pair_id}.jsonl")
+        for matrix in measure(pair, cfg, store, assume_equivalent=True):
+            assert matrix.interpreter_id == ident
+            assert matrix.measured().shape == (2, 2)
+            assert matrix.repetitions > 1
 
 
 # ============================================================
@@ -276,6 +331,64 @@ def test_calibration_amplifies_fast_payload(small_pair):
     assert reps > 100
 
 
+def test_calibration_spawns_one_child_per_variant(small_pair, monkeypatch):
+    import idiobench.bench as bench_mod
+
+    real = bench_mod.run_invocation
+    modules = []
+
+    def counting(module_source, cfg, interpreter):
+        modules.append(module_source)
+        return real(module_source, cfg, interpreter)
+
+    monkeypatch.setattr(bench_mod, "run_invocation", counting)
+    calibrate(small_pair, FAST_CFG)
+    assert len(modules) == 2
+    for module, source in zip(
+        modules, (small_pair.non_idiomatic_source, small_pair.idiomatic_source)
+    ):
+        assert source.splitlines()[0] in module
+        assert "while True:" in module
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_calibrated_count_reaches_the_floor(small_pair, variant):
+    import dataclasses
+
+    from idiobench.bench import run_invocation
+
+    cfg = dataclasses.replace(FAST_CFG, min_iteration_ns=1_000_000)
+    interp = resolve_interpreter(cfg)
+    reps = _calibrate_variant(small_pair, variant, cfg, interp)
+    assert 1 < reps < cfg.max_repetitions
+    module = wrap_scope(
+        _variant_source(small_pair, variant),
+        small_pair.setup_source,
+        small_pair.scope_mode,
+        k_iterations=1,
+        repetitions=reps,
+    )
+    record, _ = run_invocation(module, cfg, interp)
+    # A fresh child at that count lasts about the floor or more; the
+    # allowance covers a change of host speed between the two children.
+    assert record["timings_ns"][0] >= cfg.min_iteration_ns / 2
+
+    capped = dataclasses.replace(cfg, max_repetitions=16)
+    assert _calibrate_variant(small_pair, variant, capped, interp) == 16
+
+
+def test_bench_stage_imports_no_numpy():
+    import idiobench
+
+    env = dict(os.environ, PYTHONPATH=str(Path(idiobench.__file__).parents[1]))
+    code = "import sys, idiobench.bench, idiobench.bytecode; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_load_matrices_round_trip(tmp_path, small_pair):
     store = TimingStore(tmp_path / "t.jsonl")
     non_id, idio = measure(small_pair, FAST_CFG, store, assume_equivalent=True)
@@ -341,30 +454,40 @@ def test_store_drops_only_a_torn_final_line(tmp_path, caplog):
         TimingStore(path)
 
 
-def test_bench_resumes_after_a_torn_line(tmp_path, small_pair, monkeypatch, capsys):
-    import itertools
-    import re
+class _FakeChild:
+    """Stands in for ``run_invocation``; durations depend only on the
+    module text, so two runs give equal grids."""
 
-    import idiobench.bench as bench_mod
-    from idiobench.cli import main
-    from idiobench.synth import save_pair
+    def __init__(self) -> None:
+        self.calls: list[str] = []
+        self._pids = itertools.count(1000)
 
-    pids = itertools.count(1000)
-    calls = []
-
-    def fake_invocation(module_source, cfg, interpreter):
-        # Durations depend only on the module text, so two runs give equal grids.
-        calls.append(module_source)
-        k = int(re.search(r"for __i in range\((\d+)\)", module_source).group(1))
+    def __call__(self, module_source, cfg, interpreter):
+        self.calls.append(module_source)
+        # A calibration module times one pass and already meets the floor.
+        loop = re.search(r"for __i in range\((\d+)\)", module_source)
+        k = int(loop.group(1)) if loop else 1
         base = 2_000_000 + len(module_source)
-        return {"timings_ns": [base + i for i in range(k)], "repetitions": 1}, next(pids)
+        return {"timings_ns": [base + i for i in range(k)], "repetitions": 1}, next(self._pids)
 
+
+def _bench_cli(pairs_dir, store) -> None:
+    from idiobench.cli import main
+
+    args = ["bench", "--in", str(pairs_dir), "--timings", str(store)]
+    assert main(args + ["--n", "3", "--k", "4", "--warmup", "1", "--assume-equivalent"]) == 0
+
+
+def test_bench_resumes_after_a_torn_line(tmp_path, small_pair, monkeypatch, capsys):
+    import idiobench.bench as bench_mod
+
+    fake_invocation = _FakeChild()
+    calls = fake_invocation.calls
     monkeypatch.setattr(bench_mod, "run_invocation", fake_invocation)
     save_pair(small_pair, tmp_path / "pairs")
 
     def bench(store):
-        args = ["bench", "--in", str(tmp_path / "pairs"), "--timings", str(store)]
-        assert main(args + ["--n", "3", "--k", "4", "--warmup", "1", "--assume-equivalent"]) == 0
+        _bench_cli(tmp_path / "pairs", store)
         capsys.readouterr()
 
     whole, resumed = tmp_path / "whole.jsonl", tmp_path / "resumed.jsonl"
@@ -380,5 +503,53 @@ def test_bench_resumes_after_a_torn_line(tmp_path, small_pair, monkeypatch, caps
     for left, right in zip(
         load_matrices(TimingStore(whole), small_pair.pair_id, cfg),
         load_matrices(TimingStore(resumed), small_pair.pair_id, cfg),
+    ):
+        assert left.timings_ns == right.timings_ns
+
+
+@pytest.fixture(scope="module")
+def whole_bench(tmp_path_factory, small_pair):
+    """A pairs directory and the store an uninterrupted fake bench writes."""
+    import idiobench.bench as bench_mod
+
+    root = tmp_path_factory.mktemp("whole_bench")
+    save_pair(small_pair, root / "pairs")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench_mod, "run_invocation", _FakeChild())
+        _bench_cli(root / "pairs", root / "whole.jsonl")
+    return root / "pairs", TimingStore(root / "whole.jsonl")
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_bench_resume_after_a_kill_at_any_byte(tmp_path, small_pair, whole_bench, data):
+    import idiobench.bench as bench_mod
+
+    pairs_dir, whole = whole_bench
+    text = whole.path.read_bytes()
+    cut = data.draw(st.integers(0, len(text)), label="cut")
+    kept = text[:cut].count(b"\n")
+    lines = text.splitlines()
+    lost = [json.loads(line) for line in lines[kept:]]
+    lost_invocations = sum(rec.get("kind") == "invocation" for rec in lost)
+    lost_calibration = any(rec.get("kind") == "calibration" for rec in lost)
+
+    store = tmp_path / f"cut-{cut}.jsonl"
+    store.write_bytes(text[:cut])
+    fake = _FakeChild()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench_mod, "run_invocation", fake)
+        _bench_cli(pairs_dir, store)
+    calibrations = sum("for __i in range(" not in module for module in fake.calls)
+    assert calibrations == (2 if lost_calibration else 0)
+    assert len(fake.calls) - calibrations == lost_invocations
+    cfg = BenchConfig(warmup=1)
+    for left, right in zip(
+        load_matrices(whole, small_pair.pair_id, cfg),
+        load_matrices(TimingStore(store), small_pair.pair_id, cfg),
     ):
         assert left.timings_ns == right.timings_ns

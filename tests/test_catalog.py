@@ -128,6 +128,13 @@ def test_vector_validation_rejects_bad_size():
         )
 
 
+@pytest.mark.parametrize("compops", [3, None, ("<", 7)])
+def test_vector_validation_rejects_bad_compops(compops):
+    dims = dict(enumerate_matrix(IdiomKind.CHAIN_COMPARISON)[0].dims(), compops=compops)
+    with pytest.raises(IllegalFeature):
+        vector_from_dims(IdiomKind.CHAIN_COMPARISON, dims)
+
+
 @pytest.mark.parametrize("idiom", list(IdiomKind), ids=lambda k: k.value)
 def test_dims_round_trip(idiom):
     for vector in enumerate_matrix(idiom)[:: max(1, len(enumerate_matrix(idiom)) // 40)]:

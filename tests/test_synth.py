@@ -19,6 +19,7 @@ from idiobench.synth import (
     setup_for_size,
     star_list_len,
     synthesize,
+    wrap_calibration,
     wrap_scope,
     wrap_snapshot,
 )
@@ -272,6 +273,41 @@ def test_wrap_scope_emits_timings():
     assert record["repetitions"] == 3
     assert len(record["timings_ns"]) == 4
     assert all(t > 0 for t in record["timings_ns"])
+
+
+@pytest.mark.parametrize("scope", ["Global", "Local"])
+def test_wrap_scope_imports_no_json(scope):
+    # json pulls in re and enum; the timed child must not pay for them.
+    module = wrap_scope("r_0 = [1]\n", "", scope, k_iterations=2, repetitions=3)
+    probe = "import sys; print(sorted({'json', 're', 'enum'} & set(sys.modules)))\n"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", module + probe], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    record_line, loaded = proc.stdout.strip().splitlines()[-2:]
+    assert loaded == "[]"
+    assert json.loads(record_line)["repetitions"] == 3
+
+
+@pytest.mark.parametrize("scope", ["Global", "Local"])
+def test_wrap_calibration_grows_to_the_floor_or_the_cap(scope):
+    def run(floor, cap):
+        module = wrap_calibration(
+            "r_0 = [1]\n", "", scope, min_iteration_ns=floor, max_repetitions=cap
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", module], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    reached = run(200_000, 1 << 30)
+    (duration,) = reached["timings_ns"]
+    assert duration >= 200_000
+    assert reached["repetitions"] > 1
+    capped = run(10**12, 100)
+    assert capped["repetitions"] == 100
+    assert len(capped["timings_ns"]) == 1
 
 
 @pytest.mark.parametrize("scope", ["Global", "Local"])
