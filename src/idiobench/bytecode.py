@@ -4,7 +4,9 @@ Both payload variants are disassembled by the target interpreter's own
 ``dis`` module in a private child process (so the analysis always
 reflects the interpreter being measured, not the orchestrator), parsed
 from the textual output, and compared as opcode multisets plus an
-aligned view.
+aligned view. One driver serves every child job here: it disassembles
+the sources it is given and, if asked, runs the runtime probe, so
+``diff_report`` needs one job per pair.
 
 The classifier assigns one primary cause per pair:
 
@@ -135,22 +137,76 @@ class RootCause:
 # Disassembly
 # ============================================================
 
-_DIS_DRIVER = """\
-import dis, io, json, sys
+_PROBE_METHODS = (
+    "__bool__",
+    "__len__",
+    "__eq__",
+    "__ne__",
+    "__lt__",
+    "__le__",
+    "__gt__",
+    "__ge__",
+    "__contains__",
+)
+
+# Input: {"mode", "sources"} to disassemble, plus "probe": {"setup",
+# "payload"} to run the probe. Output: {"dis": [text per source],
+# "probe": [finding, ...] or null}, or {"error": "compile", "detail"}.
+# The disassembly runs no payload code: it only compiles, or execs a def.
+_DRIVER = """\
+import dis, io, json, sys, types
 job = json.loads(sys.stdin.read())
-try:
-    code = compile(job["source"], "<payload>", "exec")
-    if job["mode"] == "function":
-        ns = {}
-        exec(code, ns)
-        code = ns["__payload"].__code__
-except SyntaxError as exc:
-    print(json.dumps({"error": "compile", "detail": str(exc)}))
-    raise SystemExit(0)
-buf = io.StringIO()
-dis.dis(code, file=buf)
-print(json.dumps({"text": buf.getvalue()}))
-"""
+texts = []
+for source in job["sources"]:
+    try:
+        code = compile(source, "<payload>", "exec")
+        if job["mode"] == "function":
+            ns = {}
+            exec(code, ns)
+            code = ns["__payload"].__code__
+    except SyntaxError as exc:
+        print(json.dumps({"error": "compile", "detail": str(exc)}))
+        raise SystemExit(0)
+    buf = io.StringIO()
+    dis.dis(code, file=buf)
+    texts.append(buf.getvalue())
+findings = None
+if "probe" in job:
+    # A named namespace keeps user-defined classes out of "builtins".
+    ns = {"__name__": "__probe__"}
+    exec(job["probe"]["setup"], ns)
+    exec(job["probe"]["payload"], ns)
+    METHODS = %r
+    def definer(tp, method):
+        for klass in tp.__mro__:
+            if method in vars(klass):
+                return klass
+        return None
+    findings = []
+    def inspect(name, tp, method):
+        klass = definer(tp, method)
+        if klass is not None:
+            findings.append({
+                "name": name,
+                "type": tp.__qualname__,
+                "method": method,
+                "definer_module": klass.__module__,
+                "definer": klass.__qualname__,
+            })
+    for name, obj in list(ns.items()):
+        if name.startswith("_") or callable(obj) or isinstance(obj, types.ModuleType):
+            continue
+        for method in METHODS:
+            inspect(name, type(obj), method)
+        try:
+            iterator = iter(obj)
+        except TypeError:
+            pass
+        else:
+            inspect(name, type(iterator), "__next__")
+print(json.dumps({"dis": texts, "probe": findings}))
+""" % (_PROBE_METHODS,)
+
 
 _DIS_LINE = re.compile(
     r"^\s*(?:\d+)?\s*(?:-->)?\s*(?:>>)?\s+(\d+)\s+([A-Z][A-Z0-9_]*)"
@@ -191,6 +247,56 @@ def canonical(instructions: list[Instruction]) -> list[Instruction]:
     return out
 
 
+def _dis_job(sources: list[str], scope_mode: str) -> dict[str, Any]:
+    """The driver's input for disassembling ``sources``.
+
+    Local mode disassembles each payload compiled as a function body
+    (fast-local variable opcodes); Global mode compiles it at module
+    level.
+    """
+    for source in sources:
+        try:
+            compile(source, "<payload>", "exec")
+        except SyntaxError as exc:
+            raise CompileError(str(exc)) from exc
+    if scope_mode == "Local":
+        return {
+            "mode": "function",
+            "sources": [
+                "def __payload():\n" + _indent(source.rstrip("\n"), 1)
+                for source in sources
+            ],
+        }
+    if scope_mode == "Global":
+        return {"mode": "module", "sources": list(sources)}
+    raise ValueError(f"scope_mode must be Local or Global, got {scope_mode!r}")
+
+
+def _run_driver(job: dict[str, Any], interpreter: str | None) -> dict[str, Any]:
+    """Run ``_DRIVER`` on ``job`` in a private child.
+
+    Only the probe runs payload code, so a child that fails on a job
+    with a probe is reported as the probe's failure.
+    """
+    try:
+        result = child.run_job(
+            _DRIVER,
+            json.dumps(job),
+            timeout=60,
+            interpreter=child.resolve_interpreter(interpreter),
+        )
+    except child.ChildError as exc:
+        role = "probe" if "probe" in job else "disassembler"
+        raise ChildCrash(f"{role} child failed: {exc}") from exc
+    if result.get("error") == "compile":
+        raise CompileError(result["detail"])
+    return result
+
+
+def _instructions(text: str) -> list[Instruction]:
+    return canonical(_parse_dis_text(text))
+
+
 def disassemble_source(
     source: str, scope_mode: str, interpreter: str | None = None
 ) -> list[Instruction]:
@@ -200,39 +306,31 @@ def disassemble_source(
     (fast-local variable opcodes); Global mode compiles it at module
     level. Nested code objects (comprehensions) are included.
     """
-    try:
-        compile(source, "<payload>", "exec")
-    except SyntaxError as exc:
-        raise CompileError(str(exc)) from exc
-    interp = child.resolve_interpreter(interpreter)
-    if scope_mode == "Local":
-        job = {
-            "mode": "function",
-            "source": "def __payload():\n" + _indent(source.rstrip("\n"), 1),
-        }
-    elif scope_mode == "Global":
-        job = {"mode": "module", "source": source}
-    else:
-        raise ValueError(f"scope_mode must be Local or Global, got {scope_mode!r}")
-    try:
-        payload = child.run_job(_DIS_DRIVER, json.dumps(job), timeout=60, interpreter=interp)
-    except child.ChildError as exc:
-        raise ChildCrash(f"disassembler child failed: {exc}") from exc
-    if payload.get("error") == "compile":
-        raise CompileError(payload["detail"])
-    return canonical(_parse_dis_text(payload["text"]))
+    result = _run_driver(_dis_job([source], scope_mode), interpreter)
+    return _instructions(result["dis"][0])
+
+
+def _analyze(
+    pair: CodePair, probe: bool, interpreter: str | None
+) -> tuple[list[Instruction], list[Instruction], RuntimeProbe | None]:
+    """Both halves' instruction streams and, with ``probe``, the runtime
+    probe, from one child job."""
+    if not pair.idiomatic_source.strip():
+        raise ValueError(f"pair {pair.pair_id} has no idiomatic source")
+    job = _dis_job([pair.non_idiomatic_source, pair.idiomatic_source], pair.scope_mode)
+    if probe:
+        job["probe"] = _probe_input(pair)
+    result = _run_driver(job, interpreter)
+    non_id, idio = (_instructions(text) for text in result["dis"])
+    return non_id, idio, _probe_result(result["probe"]) if probe else None
 
 
 def disassemble(
     pair: CodePair, interpreter: str | None = None
 ) -> tuple[list[Instruction], list[Instruction]]:
     """Instruction streams for (non-idiomatic, idiomatic) payloads."""
-    if not pair.idiomatic_source.strip():
-        raise ValueError(f"pair {pair.pair_id} has no idiomatic source")
-    return (
-        disassemble_source(pair.non_idiomatic_source, pair.scope_mode, interpreter),
-        disassemble_source(pair.idiomatic_source, pair.scope_mode, interpreter),
-    )
+    non_id, idio, _ = _analyze(pair, False, interpreter)
+    return non_id, idio
 
 
 def diff(
@@ -270,56 +368,6 @@ def diff_pair(pair: CodePair, interpreter: str | None = None) -> BytecodeDiff:
 # Runtime probe
 # ============================================================
 
-_PROBE_METHODS = (
-    "__bool__",
-    "__len__",
-    "__eq__",
-    "__ne__",
-    "__lt__",
-    "__le__",
-    "__gt__",
-    "__ge__",
-    "__contains__",
-)
-
-_PROBE_DRIVER = """\
-import json, sys, types
-job = json.loads(sys.stdin.read())
-# A named namespace keeps user-defined classes out of "builtins".
-ns = {"__name__": "__probe__"}
-exec(job["setup"], ns)
-exec(job["payload"], ns)
-METHODS = %r
-def definer(tp, method):
-    for klass in tp.__mro__:
-        if method in vars(klass):
-            return klass
-    return None
-findings = []
-def inspect(name, tp, method):
-    klass = definer(tp, method)
-    if klass is not None:
-        findings.append({
-            "name": name,
-            "type": tp.__qualname__,
-            "method": method,
-            "definer_module": klass.__module__,
-            "definer": klass.__qualname__,
-        })
-for name, obj in list(ns.items()):
-    if name.startswith("_") or callable(obj) or isinstance(obj, types.ModuleType):
-        continue
-    for method in METHODS:
-        inspect(name, type(obj), method)
-    try:
-        iterator = iter(obj)
-    except TypeError:
-        pass
-    else:
-        inspect(name, type(iterator), "__next__")
-print(json.dumps(findings))
-""" % (_PROBE_METHODS,)
-
 
 @dataclass(frozen=True)
 class ProbeFinding:
@@ -343,24 +391,11 @@ class RuntimeProbe:
         return [f for f in self.findings if f.outside_builtins]
 
 
-def runtime_probe(pair: CodePair, interpreter: str | None = None) -> RuntimeProbe:
-    """Inspect the hot objects a pair binds for non-builtin dunders.
+def _probe_input(pair: CodePair) -> dict[str, str]:
+    return {"setup": pair.setup_source, "payload": pair.non_idiomatic_source}
 
-    Runs setup plus one payload execution in a child, then records, for
-    every surviving binding, which class in its type's MRO defines each
-    truth/length/comparison method, and likewise __next__ on its
-    iterator type when the object is iterable.
-    """
-    job = {"setup": pair.setup_source, "payload": pair.non_idiomatic_source}
-    try:
-        raw = child.run_job(
-            _PROBE_DRIVER,
-            json.dumps(job),
-            timeout=60,
-            interpreter=child.resolve_interpreter(interpreter),
-        )
-    except child.ChildError as exc:
-        raise ChildCrash(f"probe child failed: {exc}") from exc
+
+def _probe_result(raw: list[dict[str, str]]) -> RuntimeProbe:
     return RuntimeProbe(
         findings=[
             ProbeFinding(
@@ -373,6 +408,18 @@ def runtime_probe(pair: CodePair, interpreter: str | None = None) -> RuntimeProb
             for f in raw
         ]
     )
+
+
+def runtime_probe(pair: CodePair, interpreter: str | None = None) -> RuntimeProbe:
+    """Inspect the hot objects a pair binds for non-builtin dunders.
+
+    Runs setup plus one payload execution in a child, then records, for
+    every surviving binding, which class in its type's MRO defines each
+    truth/length/comparison method, and likewise __next__ on its
+    iterator type when the object is iterable.
+    """
+    result = _run_driver({"sources": [], "probe": _probe_input(pair)}, interpreter)
+    return _probe_result(result["probe"])
 
 
 # ============================================================
@@ -505,9 +552,13 @@ def classify_root_cause(
 def diff_report(
     pair: CodePair, probe: bool = True, interpreter: str | None = None
 ) -> dict[str, Any]:
-    """Full analysis record for one pair, JSON-serializable."""
-    bdiff = diff_pair(pair, interpreter)
-    probe_result = runtime_probe(pair, interpreter) if probe else None
+    """Full analysis record for one pair, JSON-serializable.
+
+    Both halves are disassembled, and with ``probe`` the runtime probe
+    runs, in one child job.
+    """
+    non_id, idio, probe_result = _analyze(pair, probe, interpreter)
+    bdiff = diff(non_id, idio, pair_id=pair.pair_id, interpreter=interpreter)
     try:
         cause = classify_root_cause(bdiff, pair, probe_result)
         root_cause, evidence = cause.primary, list(cause.evidence)

@@ -2,13 +2,17 @@
 
 Two kinds of child run here:
 
-- **Analysis jobs** (the snapshot, dis and probe drivers) run through a
-  fork server, one per target interpreter, started on first use as
-  ``[interpreter, "-I", "-S", "-c", ...]``. The server imports the
-  drivers' modules once and ``os.fork()``s one private child per job, so
-  each job still runs in its own process; this follows the stdlib
-  ``multiprocessing`` forkserver. Where ``os.fork`` is missing, the same
-  job runner runs once in a fresh ``-I -S`` exec per job instead.
+- **Analysis jobs** (the snapshot and bytecode drivers) run through a
+  pool of fork servers per target interpreter, up to one per usable CPU,
+  each started on first use as ``[interpreter, "-I", "-S", "-c", ...]``.
+  A server imports the drivers' modules once and ``os.fork()``s one
+  private child per job, so each job still runs in its own process; this
+  follows the stdlib ``multiprocessing`` forkserver. Each server runs one
+  job at a time; a job takes the first-started idle server, so a caller
+  that never runs two jobs at once always uses the same one. ``imap``
+  runs a function over items on as many threads as a pool has servers.
+  Where ``os.fork`` is missing, the same job runner runs once in a fresh
+  ``-I -S`` exec per job instead.
 - **Fresh execs** (``exec_child``, ``exec_json``) run an argv to
   completion. Timing invocations use them, since the measurement protocol
   needs a fresh interpreter per invocation.
@@ -28,10 +32,24 @@ import os
 import subprocess
 import sys
 import threading
-from typing import Any
+from typing import Any, Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 #: Characters of a failed child's stderr kept in the error message.
 _STDERR_TAIL = 500
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+#: Fork servers per interpreter, and the threads ``imap`` runs on.
+_POOL_SIZE = _usable_cpus()
 
 
 class ChildError(RuntimeError):
@@ -280,26 +298,71 @@ class _Server:
             self._stop()
 
 
+class _Pool:
+    """Up to ``_POOL_SIZE`` fork servers for one interpreter.
+
+    A job takes the first-started idle server, starting a new one only
+    when every server is busy and the pool is below its size, and
+    otherwise waits for one to come free.
+    """
+
+    def __init__(self, interpreter: str) -> None:
+        self.interpreter = interpreter
+        self._free = threading.Condition()
+        self._servers: list[_Server] = []  # in start order
+        self._busy: set[_Server] = set()
+
+    def run(self, job: dict[str, Any], timeout: float) -> dict[str, Any]:
+        server = self._acquire()
+        try:
+            return server.run(job, timeout)
+        finally:
+            with self._free:
+                self._busy.discard(server)
+                self._free.notify()
+
+    def _acquire(self) -> _Server:
+        with self._free:
+            while True:
+                idle = [s for s in self._servers[:_POOL_SIZE] if s not in self._busy]
+                if idle:
+                    server = idle[0]
+                elif len(self._servers) < _POOL_SIZE:
+                    server = _Server(self.interpreter)
+                    self._servers.append(server)
+                else:
+                    self._free.wait()
+                    continue
+                self._busy.add(server)
+                return server
+
+    def close(self) -> None:
+        with self._free:
+            servers, self._servers = self._servers, []
+        for server in servers:
+            server.close()
+
+
 class _Servers:
-    """One lazily started fork server per interpreter."""
+    """One lazily filled server pool per interpreter."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._by_interpreter: dict[str, _Server] = {}
+        self._by_interpreter: dict[str, _Pool] = {}
 
-    def get(self, interpreter: str) -> _Server:
+    def get(self, interpreter: str) -> _Pool:
         with self._lock:
-            server = self._by_interpreter.get(interpreter)
-            if server is None:
-                server = self._by_interpreter[interpreter] = _Server(interpreter)
-            return server
+            pool = self._by_interpreter.get(interpreter)
+            if pool is None:
+                pool = self._by_interpreter[interpreter] = _Pool(interpreter)
+            return pool
 
     def close(self) -> None:
         with self._lock:
-            servers = list(self._by_interpreter.values())
+            pools = list(self._by_interpreter.values())
             self._by_interpreter.clear()
-        for server in servers:
-            server.close()
+        for pool in pools:
+            pool.close()
 
 
 _SERVERS = _Servers()
@@ -343,3 +406,22 @@ def run_job(driver: str, input: str, *, timeout: float, interpreter: str) -> Any
     if outcome["returncode"] != 0:
         raise ChildError(f"exited {outcome['returncode']}: {_tail(stderr)}")
     return last_json_line(outcome["stdout"])
+
+
+def imap(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
+    """Yield ``fn(item)`` for each item, in order, computed on up to
+    ``_POOL_SIZE`` threads.
+
+    An exception from ``fn``, or the consumer leaving the loop, cancels
+    the items not yet started and waits for the running ones.
+    """
+    # Imported here: the stages that never call this skip its import cost.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=_POOL_SIZE)
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)

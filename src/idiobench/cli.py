@@ -26,7 +26,7 @@ from idiobench.catalog import (
     matrix_to_csv,
     vector_from_dims,
 )
-from idiobench.synth import load_pairs, save_pair, synthesize
+from idiobench.synth import CodePair, load_pairs, save_pair, synthesize
 
 log = logging.getLogger("idiobench")
 
@@ -96,31 +96,38 @@ def _cmd_refactor(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from idiobench import child
     from idiobench.equivalence import check, trial_sizes_for
 
     pairs = load_pairs(Path(args.in_dir))
     if not pairs:
         log.error("no pair files found in %s", args.in_dir)
         return 1
-    divergent = 0
-    for pair in pairs:
+
+    def check_one(pair: CodePair) -> tuple[dict[str, Any], str | None]:
         sizes = None if args.trials is None else trial_sizes_for(pair, args.trials)
         record: dict[str, Any] = {"pair_id": pair.pair_id, "idiom": pair.idiom.value}
         try:
             report = check(pair, sizes=sizes)
         except ValueError as exc:
-            divergent += 1
-            log.error("pair %s: %s", pair.pair_id, exc)
-            print(json.dumps({**record, "status": "Error", "reason": str(exc)}))
-            continue
+            return {**record, "status": "Error", "reason": str(exc)}, str(exc)
         record["status"] = report.status
         if report.status != "Equivalent":
-            divergent += 1
             witness = report.witness
             record["witness"] = {
                 "size": witness.size if witness else None,
                 "detail": witness.detail if witness else {},
             }
+        return record, None
+
+    divergent = 0
+    # Pairs are checked side by side; records and errors come out in
+    # pair order.
+    for pair, (record, error) in zip(pairs, child.imap(check_one, pairs)):
+        if error is not None:
+            log.error("pair %s: %s", pair.pair_id, error)
+        if record["status"] != "Equivalent":
+            divergent += 1
         print(json.dumps(record))
     log.info("checked %d pairs, %d not equivalent", len(pairs), divergent)
     return 1 if divergent else 0
@@ -211,7 +218,10 @@ def _vector_from_csv_row(row: dict[str, str]) -> FeatureVector | None:
         raw = row.get(name, "")
         if raw == "" and name != "compops":
             return None
-        dims[name] = _parse_feature_cell(raw, list(levels))
+        try:
+            dims[name] = _parse_feature_cell(raw, list(levels))
+        except ValueError:
+            return None
     try:
         return vector_from_dims(idiom, dims)
     except IllegalFeature:
@@ -293,21 +303,30 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     import subprocess
 
-    from idiobench.bench import ChildCrash
+    from idiobench import child
+    from idiobench.bench import ChildCrash, interpreter_id
     from idiobench.bytecode import diff_report
 
     pairs = load_pairs(Path(args.in_dir))
     if not pairs:
         log.error("no pair files found in %s", args.in_dir)
         return 1
-    unclassified = errors = 0
-    for pair in pairs:
+
+    def diff_one(pair: CodePair) -> tuple[dict[str, Any], str | None]:
         try:
-            record = diff_report(pair, probe=args.probe)
+            return diff_report(pair, probe=args.probe), None
         except (ChildCrash, ValueError, subprocess.TimeoutExpired) as exc:
-            errors += 1
-            log.error("pair %s: %s", pair.pair_id, exc)
             record = {"pair_id": pair.pair_id, "root_cause": "Error", "evidence": [str(exc)]}
+            return record, str(exc)
+
+    # Fill the cache before the threads start: it has no lock, so each
+    # thread would probe the interpreter on its own.
+    interpreter_id(child.resolve_interpreter())
+    unclassified = errors = 0
+    for pair, (record, error) in zip(pairs, child.imap(diff_one, pairs)):
+        if error is not None:
+            errors += 1
+            log.error("pair %s: %s", pair.pair_id, error)
         if not args.aligned:
             record.pop("aligned_view", None)
         if record["root_cause"] == "Unclassifiable":

@@ -389,3 +389,128 @@ def test_diff_report_serializable(pair_per_idiom):
     assert decoded["root_cause"].startswith("R")
     assert isinstance(decoded["added"], dict)
     assert isinstance(decoded["aligned_view"], list)
+
+
+# ============================================================
+# One child job per pair
+# ============================================================
+
+_FLAT = {"num_for": 1, "num_if": 0, "num_ifelse": 0}
+
+#: The five criterion-4 desk pairs, chosen as in test_acceptance.
+_DESK = {
+    "listcomp-1e4": (
+        IdiomKind.LIST_COMPREHENSION,
+        lambda v: v.size == 10_000 and v.scope == "Local" and v.node_counts == _FLAT,
+    ),
+    "tvt-fraction": (
+        IdiomKind.TRUTH_VALUE_TEST,
+        lambda v: v.node_choices["empty_value"] == "Fraction"
+        and v.node_choices["test_parent"] == "if"
+        and v.node_choices["eq_op"] == "!="
+        and v.scope == "Local"
+        and v.is_true,
+    ),
+    "assign-4": (
+        IdiomKind.ASSIGN_MULTI_TARGETS,
+        lambda v: not v.is_const
+        and not v.is_swap
+        and v.node_counts["num_assign"] == 4
+        and v.scope == "Local",
+    ),
+    "swap-2": (
+        IdiomKind.ASSIGN_MULTI_TARGETS,
+        lambda v: v.is_swap and v.node_counts["num_assign"] == 2 and v.scope == "Local",
+    ),
+    "listcomp-0": (
+        IdiomKind.LIST_COMPREHENSION,
+        lambda v: v.size == 0 and v.scope == "Local" and v.node_counts == _FLAT,
+    ),
+}
+
+
+def _reference_disassembly(source: str) -> list[Instruction]:
+    """A Local-mode payload disassembled in this process, which runs the
+    same interpreter as the analysis children."""
+    import dis
+    import io
+
+    from idiobench.bytecode import _parse_dis_text
+    from idiobench.synth import _indent
+
+    ns: dict = {}
+    source = "def __payload():\n" + _indent(source.rstrip("\n"), 1)
+    exec(compile(source, "<payload>", "exec"), ns)
+    text = io.StringIO()
+    dis.dis(ns["__payload"].__code__, file=text)
+    return canonical(_parse_dis_text(text.getvalue()))
+
+
+def _without_addresses(instructions: list[Instruction]) -> list[Instruction]:
+    """Nested code objects print their address, which differs per process."""
+    import re
+
+    return [
+        Instruction(i.opname, re.sub(r" at 0x[0-9a-f]+", "", i.argrepr))
+        for i in instructions
+    ]
+
+
+def _reference_probe(pair: CodePair) -> list[tuple[str, str, str, str, str]]:
+    """The probe's findings, computed in this process."""
+    import types
+
+    from idiobench.bytecode import _PROBE_METHODS
+
+    ns = {"__name__": "__probe__"}
+    exec(pair.setup_source, ns)
+    exec(pair.non_idiomatic_source, ns)
+    found = []
+    for name, obj in list(ns.items()):
+        if name.startswith("_") or callable(obj) or isinstance(obj, types.ModuleType):
+            continue
+        checks = [(type(obj), method) for method in _PROBE_METHODS]
+        try:
+            checks.append((type(iter(obj)), "__next__"))
+        except TypeError:
+            pass
+        for tp, method in checks:
+            klass = next((k for k in tp.__mro__ if method in vars(k)), None)
+            if klass is not None:
+                found.append(
+                    (name, tp.__qualname__, method, klass.__module__, klass.__qualname__)
+                )
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(_DESK))
+def test_driver_matches_reference_on_desk_pairs(name):
+    pair = _pair_for(*_DESK[name])
+    for source in (pair.non_idiomatic_source, pair.idiomatic_source):
+        assert _without_addresses(disassemble_source(source, "Local")) == (
+            _without_addresses(_reference_disassembly(source))
+        )
+    findings = [
+        (f.name, f.type_qualname, f.method, f.definer_module, f.definer)
+        for f in runtime_probe(pair).findings
+    ]
+    assert findings == _reference_probe(pair)
+
+
+@pytest.mark.parametrize("probe", [True, False])
+def test_diff_report_runs_one_job_per_pair(pair_per_idiom, monkeypatch, probe):
+    from idiobench import child
+
+    calls = []
+    real = child.run_job
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(child, "run_job", counting)
+    for pair in pair_per_idiom.values():
+        before = len(calls)
+        record = diff_report(pair, probe=probe)
+        assert len(calls) == before + 1, pair.pair_id
+        assert record["root_cause"] != "Error"

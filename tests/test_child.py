@@ -148,3 +148,52 @@ def test_no_server_outlives_a_check_run(tmp_path):
     server = int(pid_file.read_text())
     with pytest.raises(ProcessLookupError):
         os.kill(server, 0)
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """Fork servers of this test only, at most three per interpreter."""
+    servers = child._Servers()
+    monkeypatch.setattr(child, "_SERVERS", servers)
+    monkeypatch.setattr(child, "_POOL_SIZE", 3)
+    yield
+    servers.close()
+
+
+def test_pool_never_exceeds_its_size(fresh_pool):
+    job = "import os, time; time.sleep(0.05); print(os.getppid())"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            servers = set(pool.map(lambda _: _job(job), range(32), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert 1 < len(servers) <= 3
+    assert os.getpid() not in servers
+
+
+def _side_by_side(directory: Path) -> set[int]:
+    """The servers of two jobs that each wait until both are running."""
+    directory.mkdir()
+    job = (
+        "import os, pathlib, time\n"
+        f"d = pathlib.Path({str(directory)!r})\n"
+        "(d / str(os.getpid())).touch()\n"
+        "while len(list(d.iterdir())) < 2:\n"
+        "    time.sleep(0.01)\n"
+        "print(os.getppid())\n"
+    )
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        return set(pool.map(lambda _: _job(job), range(2), timeout=60))
+
+
+def test_killed_pooled_server_is_replaced_and_the_rest_keep_serving(fresh_pool, tmp_path):
+    both = _side_by_side(tmp_path / "first")
+    assert len(both) == 2
+    first = _job(PARENT_PID)  # a lone job takes the first-started server
+    (other,) = both - {first}
+    os.kill(first, signal.SIGKILL)
+    replacement = _job(PARENT_PID)
+    assert replacement not in both
+    assert _side_by_side(tmp_path / "again") == {replacement, other}

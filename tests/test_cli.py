@@ -462,3 +462,125 @@ def test_post_bench_stages_import_no_scipy_and_report_no_numpy(pipeline_dir, tmp
     loaded, out = _modules_after("report", "--results", results)
     assert loaded == {"code": 0, "numpy": False, "scipy": False}
     assert "| truth-value-test | 10 |" in out
+
+
+@pytest.fixture(scope="module")
+def mixed_dir(pipeline_dir, tmp_path_factory):
+    """Good pairs plus a Divergent mutant, a crashing pair and a pair
+    without an idiomatic half."""
+    import dataclasses
+
+    from idiobench.catalog import IdiomKind
+    from idiobench.equivalence import mutants
+    from idiobench.synth import CodePair, save_pair
+
+    directory = tmp_path_factory.mktemp("mixed")
+    good = load_pairs(pipeline_dir / "pairs")[:5]
+    for pair in good:
+        save_pair(pair, directory)
+    save_pair(mutants(good[0])[0][1], directory)
+    save_pair(dataclasses.replace(good[1], pair_id="blank", idiomatic_source=""), directory)
+    payload = "__os.kill(__os.getpid(), 9)\nr_0 = 1\n"
+    save_pair(
+        CodePair(
+            pair_id="crashes",
+            idiom=IdiomKind.TRUTH_VALUE_TEST,
+            features=None,
+            setup_source="import os as __os\n",
+            non_idiomatic_source=payload,
+            idiomatic_source=payload,
+            scope_mode="Global",
+        ),
+        directory,
+    )
+    return directory
+
+
+def test_check_and_diff_output_does_not_depend_on_pool_size(mixed_dir, monkeypatch, capsys):
+    from idiobench import child
+
+    runs = {}
+    for size in (1, child._POOL_SIZE):
+        monkeypatch.setattr(child, "_POOL_SIZE", size)
+        runs[size] = (
+            _run(capsys, "check", "--in", str(mixed_dir)),
+            _run(capsys, "diff", "--in", str(mixed_dir), "--probe", "--aligned"),
+        )
+    assert runs[child._POOL_SIZE] == runs[1]
+    (check_code, check_out), (diff_code, diff_out) = runs[1]
+    assert check_code == diff_code == 1
+    statuses = [json.loads(line)["status"] for line in check_out.splitlines()]
+    assert {"Equivalent", "Divergent", "Error"} <= set(statuses)
+    assert len(diff_out.splitlines()) == len(statuses) == 8
+
+
+def test_an_exception_in_one_pair_cancels_the_queued_pairs(pipeline_dir, monkeypatch, capsys):
+    import threading
+    import time
+
+    from idiobench import bytecode
+
+    pairs = load_pairs(pipeline_dir / "pairs")
+    calls = []
+    lock = threading.Lock()
+
+    def fake_diff_report(pair, probe=True, interpreter=None):
+        with lock:
+            calls.append(pair.pair_id)
+        if pair.pair_id == pairs[0].pair_id:
+            raise RuntimeError("boom")
+        time.sleep(0.2)
+        return {"pair_id": pair.pair_id, "root_cause": "R1_AddedPreparation"}
+
+    monkeypatch.setattr(bytecode, "diff_report", fake_diff_report)
+    code, out = _run(capsys, "diff", "--in", str(pipeline_dir / "pairs"))
+    assert code == 1
+    assert out == ""
+    assert len(calls) < len(pairs)
+
+
+def test_analyze_skips_a_row_with_an_unparsed_cell(pipeline_dir, tmp_path, capsys):
+    import csv
+
+    from idiobench.bench import VARIANTS, TimingStore
+    from idiobench.cli import _vector_from_csv_row
+
+    pairs = load_pairs(pipeline_dir / "pairs")
+    store = TimingStore(tmp_path / "timings.jsonl")
+    for index, pair in enumerate(pairs):
+        for variant in VARIANTS:
+            for invocation in range(3):
+                store.record_invocation(
+                    {
+                        "kind": "invocation",
+                        "pair_id": pair.pair_id,
+                        "variant": variant,
+                        "invocation": invocation,
+                        "timings_ns": [100.0 + index * len(variant) + invocation] * 4,
+                        "repetitions": 1,
+                    }
+                )
+    results = tmp_path / "results.csv"
+    code, _ = _run(
+        capsys,
+        "stats",
+        "--timings", str(store.path),
+        "--in", str(pipeline_dir / "pairs"),
+        "--bootstrap", "50",
+        "--warmup", "1",
+        "--out", str(results),
+    )
+    assert code == 0
+    with results.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(_vector_from_csv_row(row) is not None for row in rows)
+    rows[1]["is_true"] = "one"
+    with results.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+    code, out = _run(capsys, "analyze", "--results", str(results), "--permutations", "20")
+    assert code == 0
+    assert json.loads(out)["idioms"]["truth-value-test"]["pairs"] == len(rows)
+    assert _vector_from_csv_row(rows[1]) is None
