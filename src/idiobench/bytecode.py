@@ -1,12 +1,12 @@
 """Bytecode diffing and root-cause classification for code pairs.
 
-Both payload variants are disassembled by the target interpreter's own
-``dis`` module in a private child process (so the analysis always
-reflects the interpreter being measured, not the orchestrator), parsed
-from the textual output, and compared as opcode multisets plus an
-aligned view. One driver serves every child job here: it disassembles
-the sources it is given and, if asked, runs the runtime probe, so
-``diff_report`` needs one job per pair.
+Both payload variants are disassembled in a private child process by
+the target interpreter's own ``dis.get_instructions`` (so the analysis
+always reflects the interpreter being measured, not the orchestrator),
+which returns one record per instruction, and the two streams are
+compared as opcode multisets plus an aligned view. One driver serves
+every child job here: it disassembles the sources it is given and, if
+asked, runs the runtime probe, so ``diff_report`` needs one job per pair.
 
 The classifier assigns one primary cause per pair:
 
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import ast
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from difflib import SequenceMatcher
@@ -71,10 +70,6 @@ _NOISE = frozenset({"CACHE", "RESUME", "PRECALL", "NOP", "EXTENDED_ARG", "PUSH_N
 
 
 class CompileError(ValueError):
-    pass
-
-
-class UnsupportedInterpreter(RuntimeError):
     pass
 
 
@@ -150,13 +145,21 @@ _PROBE_METHODS = (
 )
 
 # Input: {"mode", "sources"} to disassemble, plus "probe": {"setup",
-# "payload"} to run the probe. Output: {"dis": [text per source],
-# "probe": [finding, ...] or null}, or {"error": "compile", "detail"}.
-# The disassembly runs no payload code: it only compiles, or execs a def.
+# "payload"} to run the probe. Output: {"dis": [[[opname, arg, argrepr],
+# ...] per source], "probe": [finding, ...] or null}, or {"error":
+# "compile", "detail"}. Nested code objects follow their parent in the
+# order ``dis.dis`` prints them. The disassembly runs no payload code: it
+# only compiles, or execs a def.
 _DRIVER = """\
-import dis, io, json, sys, types
+import dis, json, sys, types
 job = json.loads(sys.stdin.read())
-texts = []
+def records(code):
+    out = [[i.opname, i.arg, i.argrepr] for i in dis.get_instructions(code)]
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            out += records(const)
+    return out
+streams = []
 for source in job["sources"]:
     try:
         code = compile(source, "<payload>", "exec")
@@ -167,9 +170,7 @@ for source in job["sources"]:
     except SyntaxError as exc:
         print(json.dumps({"error": "compile", "detail": str(exc)}))
         raise SystemExit(0)
-    buf = io.StringIO()
-    dis.dis(code, file=buf)
-    texts.append(buf.getvalue())
+    streams.append(records(code))
 findings = None
 if "probe" in job:
     # A named namespace keeps user-defined classes out of "builtins".
@@ -204,30 +205,8 @@ if "probe" in job:
             pass
         else:
             inspect(name, type(iterator), "__next__")
-print(json.dumps({"dis": texts, "probe": findings}))
+print(json.dumps({"dis": streams, "probe": findings}))
 """ % (_PROBE_METHODS,)
-
-
-_DIS_LINE = re.compile(
-    r"^\s*(?:\d+)?\s*(?:-->)?\s*(?:>>)?\s+(\d+)\s+([A-Z][A-Z0-9_]*)"
-    r"(?:\s+(-?\d+)(?:\s+\((.*)\))?)?\s*$"
-)
-
-
-def _parse_dis_text(text: str) -> list[Instruction]:
-    instructions: list[Instruction] = []
-    for line in text.splitlines():
-        if not line.strip() or line.lstrip().startswith("Disassembly of"):
-            continue
-        match = _DIS_LINE.match(line)
-        if match is None:
-            continue
-        opname = match.group(2)
-        argrepr = match.group(4) if match.group(4) is not None else (match.group(3) or "")
-        instructions.append(Instruction(opname=opname, argrepr=argrepr))
-    if not instructions:
-        raise UnsupportedInterpreter("no instructions parsed from disassembly")
-    return instructions
 
 
 def canonical(instructions: list[Instruction]) -> list[Instruction]:
@@ -293,8 +272,15 @@ def _run_driver(job: dict[str, Any], interpreter: str | None) -> dict[str, Any]:
     return result
 
 
-def _instructions(text: str) -> list[Instruction]:
-    return canonical(_parse_dis_text(text))
+def _instructions(records: list[list[Any]]) -> list[Instruction]:
+    # An operand is its argrepr, else its raw arg: 3.11 gives SWAP and
+    # COPY no argrepr, and ``canonical`` reads their depth from it.
+    return canonical(
+        [
+            Instruction(opname, argrepr or ("" if arg is None else str(arg)))
+            for opname, arg, argrepr in records
+        ]
+    )
 
 
 def disassemble_source(
@@ -321,16 +307,8 @@ def _analyze(
     if probe:
         job["probe"] = _probe_input(pair)
     result = _run_driver(job, interpreter)
-    non_id, idio = (_instructions(text) for text in result["dis"])
+    non_id, idio = (_instructions(records) for records in result["dis"])
     return non_id, idio, _probe_result(result["probe"]) if probe else None
-
-
-def disassemble(
-    pair: CodePair, interpreter: str | None = None
-) -> tuple[list[Instruction], list[Instruction]]:
-    """Instruction streams for (non-idiomatic, idiomatic) payloads."""
-    non_id, idio, _ = _analyze(pair, False, interpreter)
-    return non_id, idio
 
 
 def diff(
@@ -360,7 +338,7 @@ def diff(
 
 
 def diff_pair(pair: CodePair, interpreter: str | None = None) -> BytecodeDiff:
-    non_id, idio = disassemble(pair, interpreter)
+    non_id, idio, _ = _analyze(pair, False, interpreter)
     return diff(non_id, idio, pair_id=pair.pair_id, interpreter=interpreter)
 
 

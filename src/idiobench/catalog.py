@@ -428,12 +428,51 @@ def enumerate_matrix(idiom: IdiomKind) -> list[FeatureVector]:
 # ============================================================
 
 
+def feature_cell(value: Any) -> str:
+    """One feature value as a CSV cell: operator multisets joined with
+    ``|``, booleans as 0/1, anything else as ``str``."""
+    if isinstance(value, tuple):
+        return "|".join(value)
+    if isinstance(value, bool):
+        return str(int(value))
+    return str(value)
+
+
+def vector_from_row(row: Mapping[str, str]) -> FeatureVector | None:
+    """The vector that a CSV row's ``idiom`` and :func:`feature_cell`
+    columns encode, or None if a cell is blank or not a legal value."""
+    try:
+        idiom = IdiomKind(row["idiom"])
+    except ValueError:
+        return None
+    dims: dict[str, Any] = {}
+    for name, levels in _SPACES[idiom].items():
+        raw = row.get(name, "")
+        if raw == "":
+            return None
+        sample = levels[0]
+        try:
+            if isinstance(sample, tuple):
+                dims[name] = tuple(raw.split("|"))
+            elif isinstance(sample, bool):
+                dims[name] = bool(int(raw))
+            elif isinstance(sample, int):
+                dims[name] = int(raw)
+            else:
+                dims[name] = raw
+        except ValueError:
+            return None
+    try:
+        return vector_from_dims(idiom, dims)
+    except IllegalFeature:
+        return None
+
+
 def matrix_to_csv(idiom: IdiomKind, fileobj) -> int:
     """Write one row per feature vector; returns the row count.
 
     Columns are ``idiom`` followed by the idiom's dimension names in
-    sorted order. Operator multisets are joined with ``|``; booleans are
-    written as 0/1.
+    sorted order, each cell written by :func:`feature_cell`.
     """
     names = sorted(_SPACES[idiom])
     writer = csv.writer(fileobj)
@@ -441,15 +480,6 @@ def matrix_to_csv(idiom: IdiomKind, fileobj) -> int:
     count = 0
     for vector in enumerate_matrix(idiom):
         dims = vector.dims()
-        row: list[str] = [idiom.value]
-        for name in names:
-            value = dims[name]
-            if isinstance(value, tuple):
-                row.append("|".join(value))
-            elif isinstance(value, bool):
-                row.append(str(int(value)))
-            else:
-                row.append(str(value))
-        writer.writerow(row)
+        writer.writerow([idiom.value] + [feature_cell(dims[name]) for name in names])
         count += 1
     return count

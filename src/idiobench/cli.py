@@ -18,13 +18,10 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from idiobench.catalog import (
-    FeatureVector,
     IdiomKind,
-    IllegalFeature,
     enumerate_matrix,
-    feature_space,
     matrix_to_csv,
-    vector_from_dims,
+    vector_from_row,
 )
 from idiobench.synth import CodePair, load_pairs, save_pair, synthesize
 
@@ -197,37 +194,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _parse_feature_cell(raw: str, levels: Sequence[Any]) -> Any:
-    sample = levels[0]
-    if isinstance(sample, tuple):
-        return tuple(raw.split("|")) if raw else ()
-    if isinstance(sample, bool):
-        return bool(int(raw))
-    if isinstance(sample, int):
-        return int(raw)
-    return raw
-
-
-def _vector_from_csv_row(row: dict[str, str]) -> FeatureVector | None:
-    try:
-        idiom = IdiomKind(row["idiom"])
-    except ValueError:
-        return None
-    dims: dict[str, Any] = {}
-    for name, levels in feature_space(idiom).dims.items():
-        raw = row.get(name, "")
-        if raw == "" and name != "compops":
-            return None
-        try:
-            dims[name] = _parse_feature_cell(raw, list(levels))
-        except ValueError:
-            return None
-    try:
-        return vector_from_dims(idiom, dims)
-    except IllegalFeature:
-        return None
-
-
 _CLASSES = ("Speedup", "Slowdown", "Unchanged")
 
 
@@ -274,7 +240,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 label: round(share, 1) for label, share in _class_percent(group).items()
             },
         }
-        vectors = [(_vector_from_csv_row(r), float(r["rho"])) for r in group]
+        vectors = [(vector_from_row(r), float(r["rho"])) for r in group]
         usable = [(v, rho) for v, rho in vectors if v is not None and rho > 0]
         if len(usable) >= 10:
             report = feature_correlation(

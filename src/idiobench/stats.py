@@ -19,7 +19,7 @@ from typing import Any, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from idiobench.catalog import FeatureVector, IdiomKind, feature_space
+from idiobench.catalog import FeatureVector, IdiomKind, feature_cell, feature_space
 
 SPEEDUP = "Speedup"
 SLOWDOWN = "Slowdown"
@@ -420,14 +420,6 @@ class PairResult:
     change: PerfChange
 
 
-def _feature_cell(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return "|".join(str(v) for v in value)
-    if isinstance(value, bool):
-        return int(value)
-    return value
-
-
 def write_results_csv(results: Iterable[PairResult], fh: TextIO) -> None:
     """One row per pair: identity, features, rho, CI, RCIW, class."""
     results = list(results)
@@ -443,7 +435,7 @@ def write_results_csv(results: Iterable[PairResult], fh: TextIO) -> None:
     for r in results:
         dims = r.features.dims() if r.features else {}
         row = [r.pair_id, r.idiom.value]
-        row += [_feature_cell(dims[n]) if n in dims else "" for n in feature_names]
+        row += [feature_cell(dims[n]) if n in dims else "" for n in feature_names]
         row += [
             repr(r.change.rho),
             repr(r.change.ci_low),

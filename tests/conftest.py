@@ -1,6 +1,10 @@
-"""Shared fixtures: deterministic sample vectors and refactored pairs."""
+"""Shared fixtures: deterministic sample vectors, refactored pairs and
+local interpreters."""
 
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,13 @@ def stratified(items: list, limit: int, seed: int = 0) -> list:
 
 def sample_vectors(idiom: IdiomKind, limit: int, seed: int = 0) -> list:
     return stratified(enumerate_matrix(idiom), limit, seed)
+
+
+def pyenv_interpreter(minor: int) -> str | None:
+    """A CPython 3.<minor> installed under pyenv, if there is one."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    found = sorted(root.glob(f"3.{minor}.*/bin/python3.{minor}"))
+    return str(found[-1]) if found else None
 
 
 @pytest.fixture(scope="session")

@@ -38,6 +38,8 @@ from idiobench.catalog import IdiomKind, enumerate_matrix
 from idiobench.refactor import refactor_pair
 from idiobench.synth import save_pair, synthesize, wrap_scope
 
+from conftest import pyenv_interpreter
+
 FAST_CFG = BenchConfig(
     n_invocations=3, k_iterations=5, warmup=1, min_iteration_ns=50_000, timeout_s=60.0
 )
@@ -165,20 +167,13 @@ def test_host_id_nonempty():
     assert host_id()
 
 
-def _pyenv_interpreter(minor: int) -> str | None:
-    """A CPython 3.<minor> installed under pyenv, if there is one."""
-    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
-    found = sorted(root.glob(f"3.{minor}.*/bin/python3.{minor}"))
-    return str(found[-1]) if found else None
-
-
 @pytest.mark.parametrize("minor", range(8, 14), ids=lambda minor: f"3.{minor}")
 def test_protocol_runs_on_each_local_interpreter(minor, small_pair, local_pair, tmp_path):
     import dataclasses
 
     from idiobench.equivalence import check
 
-    interp = _pyenv_interpreter(minor)
+    interp = pyenv_interpreter(minor)
     if interp is None:
         pytest.skip(f"no CPython 3.{minor} under pyenv")
     platform_probe = (

@@ -27,6 +27,8 @@ from idiobench.catalog import IdiomKind, enumerate_matrix
 from idiobench.refactor import refactor_pair
 from idiobench.synth import CodePair, synthesize
 
+from conftest import pyenv_interpreter
+
 
 def _pair_for(idiom: IdiomKind, predicate) -> CodePair:
     vector = next(v for v in enumerate_matrix(idiom) if predicate(v))
@@ -433,17 +435,24 @@ def _reference_disassembly(source: str) -> list[Instruction]:
     """A Local-mode payload disassembled in this process, which runs the
     same interpreter as the analysis children."""
     import dis
-    import io
+    import types
 
-    from idiobench.bytecode import _parse_dis_text
     from idiobench.synth import _indent
+
+    def walk(code: types.CodeType) -> list[Instruction]:
+        out = [
+            Instruction(i.opname, i.argrepr or ("" if i.arg is None else str(i.arg)))
+            for i in dis.get_instructions(code)
+        ]
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                out += walk(const)
+        return out
 
     ns: dict = {}
     source = "def __payload():\n" + _indent(source.rstrip("\n"), 1)
     exec(compile(source, "<payload>", "exec"), ns)
-    text = io.StringIO()
-    dis.dis(ns["__payload"].__code__, file=text)
-    return canonical(_parse_dis_text(text.getvalue()))
+    return canonical(walk(ns["__payload"].__code__))
 
 
 def _without_addresses(instructions: list[Instruction]) -> list[Instruction]:
@@ -514,3 +523,24 @@ def test_diff_report_runs_one_job_per_pair(pair_per_idiom, monkeypatch, probe):
         record = diff_report(pair, probe=probe)
         assert len(calls) == before + 1, pair.pair_id
         assert record["root_cause"] != "Error"
+
+
+# ============================================================
+# Every local interpreter
+# ============================================================
+
+
+@pytest.mark.parametrize("minor", range(8, 14), ids=lambda minor: f"3.{minor}")
+def test_diff_classifies_on_each_local_interpreter(minor, pair_per_idiom):
+    interp = pyenv_interpreter(minor)
+    if interp is None:
+        pytest.skip(f"no CPython 3.{minor} under pyenv")
+    chain = disassemble_source("r_0 = a_0 < b_0 < c_0\n", "Global", interp)
+    assert [i.opname for i in chain].count("COMPARE_OP") == 2
+    unclassifiable = [
+        idiom.value
+        for idiom, pair in pair_per_idiom.items()
+        if diff_report(pair, probe=True, interpreter=interp)["root_cause"]
+        == "Unclassifiable"
+    ]
+    assert unclassifiable == []

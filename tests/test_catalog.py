@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 
 import pytest
@@ -21,6 +22,7 @@ from idiobench.catalog import (
     feature_space,
     matrix_to_csv,
     vector_from_dims,
+    vector_from_row,
 )
 
 EXPECTED_CARDINALITIES = {
@@ -163,6 +165,15 @@ def test_key_starts_with_idiom_and_is_hashable(vector):
     key = vector.key()
     assert key[0] == vector.idiom.value
     assert hash(key) == hash(vector.key())
+
+
+@pytest.mark.parametrize("idiom", list(IdiomKind), ids=lambda k: k.value)
+def test_matrix_csv_rows_read_back_to_their_vectors(idiom):
+    buf = io.StringIO()
+    matrix_to_csv(idiom, buf)
+    buf.seek(0)
+    rows = list(csv.DictReader(buf))
+    assert [vector_from_row(row) for row in rows] == enumerate_matrix(idiom)
 
 
 def test_matrix_csv_row_count():

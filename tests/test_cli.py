@@ -543,7 +543,7 @@ def test_analyze_skips_a_row_with_an_unparsed_cell(pipeline_dir, tmp_path, capsy
     import csv
 
     from idiobench.bench import VARIANTS, TimingStore
-    from idiobench.cli import _vector_from_csv_row
+    from idiobench.catalog import vector_from_row
 
     pairs = load_pairs(pipeline_dir / "pairs")
     store = TimingStore(tmp_path / "timings.jsonl")
@@ -573,7 +573,7 @@ def test_analyze_skips_a_row_with_an_unparsed_cell(pipeline_dir, tmp_path, capsy
     assert code == 0
     with results.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert all(_vector_from_csv_row(row) is not None for row in rows)
+    assert all(vector_from_row(row) is not None for row in rows)
     rows[1]["is_true"] = "one"
     with results.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -583,4 +583,4 @@ def test_analyze_skips_a_row_with_an_unparsed_cell(pipeline_dir, tmp_path, capsy
     code, out = _run(capsys, "analyze", "--results", str(results), "--permutations", "20")
     assert code == 0
     assert json.loads(out)["idioms"]["truth-value-test"]["pairs"] == len(rows)
-    assert _vector_from_csv_row(rows[1]) is None
+    assert vector_from_row(rows[1]) is None
