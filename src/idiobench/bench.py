@@ -7,8 +7,8 @@ are amplified by an inner repetition loop whose count is calibrated once
 per pair: one fresh child per variant grows the count in-process until
 an amplified iteration reaches the floor, and the larger of the two
 counts is applied to both variants, so the ratio of interest is
-unaffected. Invocations alternate between variants to spread machine
-drift across both.
+unaffected. Each invocation runs a NonIdiomatic child, then an
+Idiomatic one: the variants interleave, NonIdiomatic always first.
 
 Raw results append to a JSON Lines store, one record per invocation,
 keyed by (pair_id, variant, invocation) for idempotent resume.
@@ -72,7 +72,6 @@ class BenchConfig:
     max_repetitions: int = 1_048_576
     timeout_s: float = 300.0
     interpreter: str | None = None
-    scrub_env: bool = True
 
     def __post_init__(self) -> None:
         if self.n_invocations < 1 or self.k_iterations < 1:
@@ -115,11 +114,7 @@ def resolve_interpreter(cfg: BenchConfig | None = None) -> str:
     return child.resolve_interpreter(cfg.interpreter if cfg is not None else None)
 
 
-def _child_env(scrub: bool) -> dict[str, str]:
-    if not scrub:
-        env = dict(os.environ)
-        env["PYTHONHASHSEED"] = "0"
-        return env
+def _child_env() -> dict[str, str]:
     keep = {}
     for key in ("PATH", "SYSTEMROOT", "TMPDIR", "TEMP", "TMP"):
         if key in os.environ:
@@ -166,7 +161,7 @@ def run_invocation(
         return child.exec_json(
             [interpreter, "-I", "-S", "-c", module_source],
             timeout=cfg.timeout_s,
-            env=_child_env(cfg.scrub_env),
+            env=_child_env(),
         )
     except subprocess.TimeoutExpired as exc:
         raise InvocationTimeout(f"invocation exceeded {cfg.timeout_s}s") from exc

@@ -28,7 +28,6 @@ structure, and replacement subsumes plain addition or removal.
 from __future__ import annotations
 
 import ast
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from difflib import SequenceMatcher
@@ -151,32 +150,25 @@ _PROBE_METHODS = (
 # order ``dis.dis`` prints them. The disassembly runs no payload code: it
 # only compiles, or execs a def.
 _DRIVER = """\
-import dis, json, sys, types
-job = json.loads(sys.stdin.read())
+import dis, types
+def compiled(source):
+    code = compile(source, "<payload>", "exec")
+    if job["mode"] == "function":
+        ns = {}
+        exec(code, ns)
+        code = ns["__payload"].__code__
+    return code
 def records(code):
     out = [[i.opname, i.arg, i.argrepr] for i in dis.get_instructions(code)]
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
             out += records(const)
     return out
-streams = []
-for source in job["sources"]:
-    try:
-        code = compile(source, "<payload>", "exec")
-        if job["mode"] == "function":
-            ns = {}
-            exec(code, ns)
-            code = ns["__payload"].__code__
-    except SyntaxError as exc:
-        print(json.dumps({"error": "compile", "detail": str(exc)}))
-        raise SystemExit(0)
-    streams.append(records(code))
-findings = None
-if "probe" in job:
+def probe(setup, payload):
     # A named namespace keeps user-defined classes out of "builtins".
     ns = {"__name__": "__probe__"}
-    exec(job["probe"]["setup"], ns)
-    exec(job["probe"]["payload"], ns)
+    exec(setup, ns)
+    exec(payload, ns)
     METHODS = %r
     def definer(tp, method):
         for klass in tp.__mro__:
@@ -205,7 +197,16 @@ if "probe" in job:
             pass
         else:
             inspect(name, type(iterator), "__next__")
-print(json.dumps({"dis": streams, "probe": findings}))
+    return findings
+try:
+    codes = [compiled(source) for source in job["sources"]]
+except SyntaxError as exc:
+    result = {"error": "compile", "detail": str(exc)}
+else:
+    result = {
+        "dis": [records(code) for code in codes],
+        "probe": probe(**job["probe"]) if "probe" in job else None,
+    }
 """ % (_PROBE_METHODS,)
 
 
@@ -260,7 +261,7 @@ def _run_driver(job: dict[str, Any], interpreter: str | None) -> dict[str, Any]:
     try:
         result = child.run_job(
             _DRIVER,
-            json.dumps(job),
+            job,
             timeout=60,
             interpreter=child.resolve_interpreter(interpreter),
         )

@@ -17,11 +17,13 @@ Two kinds of child run here:
   completion. Timing invocations use them, since the measurement protocol
   needs a fresh interpreter per invocation.
 
-A job's driver sees the job's input as ``sys.stdin`` and writes to a
-buffer as ``sys.stdout``; the last line it prints is its JSON result.
-File descriptors 0 and 1 of a job point at ``/dev/null`` and its result
-returns over a private pipe, so a payload writing to raw descriptors
-cannot corrupt the protocol.
+A job's driver is source run as ``__main__`` with its input bound to the
+global ``job``; it answers by binding the global ``result``. The runner
+JSON-encodes that value and sends it back over a private pipe, and
+``run_job`` returns it decoded, so no driver reads stdin or prints its
+answer. A job's stdin and stdout, as ``sys`` streams and as file
+descriptors 0 and 1, are ``/dev/null``, so nothing a payload reads or
+writes there can reach the protocol.
 """
 
 from __future__ import annotations
@@ -131,9 +133,10 @@ def exec_json(
 # Analysis jobs
 # ============================================================
 
-# Runs one job in the current process and writes
-# {"returncode", "stdout"} as one JSON line to a descriptor. The modules
-# the drivers import are imported here, once per server.
+# Runs one job in the current process and writes {"returncode"} plus,
+# if the driver bound one, its "result" as one JSON line to a
+# descriptor. The modules the drivers import are imported here, once per
+# server.
 _RUNNER = """\
 import contextlib, dis, io, json, os, select, signal, sys, time, types
 
@@ -142,10 +145,10 @@ def run_job(job, result_fd):
     os.dup2(null, 0)
     os.dup2(null, 1)
     os.close(null)
-    out = io.StringIO()
-    sys.stdin, sys.stdout = io.StringIO(job["input"]), out
+    sys.stdin = sys.stdout = open(os.devnull, "r+")
+    namespace = {"__name__": "__main__", "job": job["input"]}
     try:
-        exec(compile(job["driver"], "<string>", "exec"), {"__name__": "__main__"})
+        exec(compile(job["driver"], "<string>", "exec"), namespace)
         code = 0
     except SystemExit as exc:
         code = exc.code
@@ -160,7 +163,10 @@ def run_job(job, result_fd):
         sys.excepthook(type(exc), exc, exc.__traceback__)
         code = 1
     sys.stderr.flush()
-    data = (json.dumps({"returncode": code, "stdout": out.getvalue()}) + "\\n").encode()
+    answer = {"returncode": code}
+    if "result" in namespace:
+        answer["result"] = namespace["result"]
+    data = (json.dumps(answer) + "\\n").encode()
     while data:
         data = data[os.write(result_fd, data):]
 """
@@ -369,22 +375,25 @@ _SERVERS = _Servers()
 atexit.register(_SERVERS.close)
 
 
-def run_job(driver: str, input: str, *, timeout: float, interpreter: str) -> Any:
-    """Run ``driver`` as ``-c`` source in a private child of ``interpreter``.
+def run_job(driver: str, job: Any, *, timeout: float, interpreter: str) -> Any:
+    """Run ``driver`` as ``__main__`` source in a private child of
+    ``interpreter``.
 
-    The child sees ``input`` as stdin and is killed after ``timeout``
+    The driver sees ``job``, a JSON-serializable value, as its global
+    ``job`` and answers by binding the global ``result`` to a
+    JSON-serializable value. The child is killed after ``timeout``
     seconds.
 
     Returns:
-        The JSON record on the last line the driver printed.
+        The driver's ``result``.
 
     Raises:
         subprocess.TimeoutExpired: the job outran ``timeout``.
-        ChildError: the job died, exited nonzero or printed no record.
+        ChildError: the job died, exited nonzero or bound no ``result``.
     """
-    job = {"driver": driver, "input": input}
+    request = {"driver": driver, "input": job}
     if hasattr(os, "fork"):
-        answer = _SERVERS.get(interpreter).run(job, timeout)
+        answer = _SERVERS.get(interpreter).run(request, timeout)
         stderr = answer["stderr"]
         if answer.get("timeout"):
             raise subprocess.TimeoutExpired(
@@ -399,13 +408,15 @@ def run_job(driver: str, input: str, *, timeout: float, interpreter: str) -> Any
     else:
         stdout, stderr, _ = exec_child(
             [interpreter, "-I", "-S", "-c", _ONE_SHOT],
-            input=json.dumps(job),
+            input=json.dumps(request),
             timeout=timeout,
         )
         outcome = last_json_line(stdout)
     if outcome["returncode"] != 0:
         raise ChildError(f"exited {outcome['returncode']}: {_tail(stderr)}")
-    return last_json_line(outcome["stdout"])
+    if "result" not in outcome:
+        raise ChildError(f"bound no result: {_tail(stderr)}")
+    return outcome["result"]
 
 
 def imap(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:

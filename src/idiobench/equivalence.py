@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ast
 import copy
-import json
 import re
 import subprocess
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from typing import Any, Iterable
 
 from idiobench import child
 from idiobench.catalog import SIZES, IdiomKind
-from idiobench.synth import CodePair, setup_for_size, wrap_snapshot
+from idiobench.synth import CodePair, _indent, setup_for_size
 
 #: Sizes every sized pair is re-checked at; chosen small so trials stay
 #: fast while still exercising empty, singleton, and multi-element data.
@@ -85,37 +84,65 @@ class EquivalenceReport:
 
 
 class CheckError(RuntimeError):
-    """A snapshot child crashed or produced unreadable output."""
+    """A snapshot child crashed or bound no snapshots."""
 
 
+# Input: {"payload", "setups", "scope"}. Output: one snapshot per setup,
+# {"names", "exception", "stdout"}. Each setup runs in a fresh namespace
+# with its output discarded, then the payload runs once: at module level
+# under Global, as ``__payload()`` under Local, whose locals join the
+# globals. ``names`` maps every binding not starting with "_" that is
+# neither callable nor a module to its repr; ``exception`` is "Type: msg"
+# for an exception the payload raised; ``stdout`` is what it printed.
 _DRIVER = """\
-import io, json, sys
-from contextlib import redirect_stdout
-mods = json.load(sys.stdin)
-results = []
-for src in mods:
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        exec(compile(src, "<snapshot>", "exec"), {"__name__": "__snapshot__"})
-    results.append(buf.getvalue().strip().splitlines()[-1])
-print(json.dumps(results))
+import contextlib, io, types
+payload = compile(job["payload"], "<payload>", "exec")
+result = []
+for setup in job["setups"]:
+    ns = {"__name__": "__snapshot__"}
+    exec(setup, ns)
+    out, exception, local = io.StringIO(), None, {}
+    try:
+        with contextlib.redirect_stdout(out):
+            exec(payload, ns)
+            if job["scope"] == "Local":
+                local = ns["__payload"]()
+    except Exception as exc:
+        exception = type(exc).__name__ + ": " + str(exc)
+    names = {}
+    for name, value in list(ns.items()) + list(local.items()):
+        if name.startswith("_"):
+            continue
+        if callable(value) or isinstance(value, types.ModuleType):
+            continue
+        names[name] = repr(value)
+    result.append({"names": names, "exception": exception, "stdout": out.getvalue()})
 """
 
 
 def _run_snapshots(
-    modules: list[str], timeout: float, interpreter: str
+    payload: str, setups: list[str], scope_mode: str, timeout: float, interpreter: str
 ) -> list[dict[str, Any]]:
-    """Execute snapshot modules in one private child, one namespace each."""
-    try:
-        lines = child.run_job(
-            _DRIVER, json.dumps(modules), timeout=timeout, interpreter=interpreter
+    """One snapshot of ``payload`` per setup, from one private child.
+
+    Raises:
+        SyntaxError: ``payload`` does not compile.
+        ValueError: ``scope_mode`` is neither Local nor Global.
+    """
+    compile(payload, "<payload>", "exec")
+    if scope_mode == "Local":
+        payload = (
+            "def __payload():\n"
+            + _indent(payload.rstrip("\n"), 1)
+            + "\n    return dict(locals())\n"
         )
+    elif scope_mode != "Global":
+        raise ValueError(f"scope_mode must be Local or Global, got {scope_mode!r}")
+    job = {"payload": payload, "setups": setups, "scope": scope_mode}
+    try:
+        return child.run_job(_DRIVER, job, timeout=timeout, interpreter=interpreter)
     except child.ChildError as exc:
         raise CheckError(f"snapshot child failed: {exc}") from exc
-    try:
-        return [json.loads(line) for line in lines]
-    except (TypeError, ValueError) as exc:
-        raise CheckError(f"unreadable snapshot output: {exc}") from exc
 
 
 def _comparable(
@@ -178,14 +205,10 @@ def check(
     trials: list[TrialOutcome] = []
     try:
         snaps_a = _run_snapshots(
-            [wrap_snapshot(pair.non_idiomatic_source, s, pair.scope_mode) for s in setups],
-            timeout,
-            interp,
+            pair.non_idiomatic_source, setups, pair.scope_mode, timeout, interp
         )
         snaps_b = _run_snapshots(
-            [wrap_snapshot(pair.idiomatic_source, s, pair.scope_mode) for s in setups],
-            timeout,
-            interp,
+            pair.idiomatic_source, setups, pair.scope_mode, timeout, interp
         )
     except (CheckError, SyntaxError, subprocess.TimeoutExpired) as exc:
         return EquivalenceReport(

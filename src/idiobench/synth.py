@@ -497,62 +497,3 @@ def wrap_calibration(
         + f"    __reps = min({max_repetitions}, max(__reps + 1, int(__reps * __grow)))\n"
         + _print_record("[__d]", "__reps"),
     )
-
-
-def wrap_snapshot(payload: str, setup: str, scope_mode: str) -> str:
-    """Build a module that runs the payload once and prints an
-    observable-state snapshot as JSON.
-
-    The snapshot maps every non-underscore, non-callable, non-module
-    binding (module globals plus, under Local, the payload function's
-    locals) to its repr, and records payload stdout and any exception
-    type raised by the payload.
-    """
-    compile(payload, "<payload>", "exec")
-    header = (
-        "import contextlib as __contextlib\n"
-        "import io as __io\n"
-        "import json as __json\n"
-        "import types as __types\n\n" + setup.rstrip("\n")
-    )
-    if scope_mode == "Local":
-        run = (
-            "\n\ndef __payload():\n"
-            + _indent(payload.rstrip("\n"), 1)
-            + "\n    return dict(locals())\n\n"
-            + "__buf = __io.StringIO()\n"
-            "__exc = None\n"
-            "__locals = {}\n"
-            "try:\n"
-            "    with __contextlib.redirect_stdout(__buf):\n"
-            "        __locals = __payload()\n"
-            "except Exception as __e:\n"
-            "    __exc = type(__e).__name__ + ': ' + str(__e)\n"
-        )
-    elif scope_mode == "Global":
-        run = (
-            "\n\n__buf = __io.StringIO()\n"
-            "__exc = None\n"
-            "__locals = {}\n"
-            "try:\n"
-            "    with __contextlib.redirect_stdout(__buf):\n"
-            + _indent(payload.rstrip("\n"), 2)
-            + "\nexcept Exception as __e:\n"
-            "    __exc = type(__e).__name__ + ': ' + str(__e)\n"
-        )
-    else:
-        raise ValueError(f"scope_mode must be Local or Global, got {scope_mode!r}")
-    footer = (
-        "\n__names = {}\n"
-        "for __k, __v in list(globals().items()) + list(__locals.items()):\n"
-        "    if __k.startswith('_'):\n"
-        "        continue\n"
-        "    if callable(__v) or isinstance(__v, __types.ModuleType):\n"
-        "        continue\n"
-        "    __names[__k] = repr(__v)\n"
-        'print(__json.dumps({"names": __names, "exception": __exc, '
-        '"stdout": __buf.getvalue()}))\n'
-    )
-    module = header + run + footer
-    compile(module, "<module>", "exec")
-    return module

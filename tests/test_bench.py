@@ -134,19 +134,12 @@ def test_matrix_rejects_unknown_variant():
 def test_child_env_is_scrubbed(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", "/somewhere")
     monkeypatch.setenv("LD_PRELOAD", "/lib/evil.so")
-    env = _child_env(scrub=True)
+    env = _child_env()
     assert "PYTHONPATH" not in env
     assert "LD_PRELOAD" not in env
     assert env["PYTHONHASHSEED"] == "0"
     assert env["LC_ALL"] == "C"
     assert "PATH" in env
-
-
-def test_child_env_unscrubbed_pins_hash_seed(monkeypatch):
-    monkeypatch.setenv("PYTHONPATH", "/somewhere")
-    env = _child_env(scrub=False)
-    assert env["PYTHONPATH"] == "/somewhere"
-    assert env["PYTHONHASHSEED"] == "0"
 
 
 def test_interpreter_id_format():

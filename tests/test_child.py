@@ -19,7 +19,7 @@ from idiobench.equivalence import check, mutants
 from idiobench.synth import CodePair, save_pair
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-PARENT_PID = "import os; print(os.getppid())"
+PARENT_PID = "import os; result = os.getppid()"
 
 
 def _job(driver: str, timeout: float = 30.0):
@@ -28,13 +28,20 @@ def _job(driver: str, timeout: float = 30.0):
     )
 
 
-def _raw_fd_pair(noise: bytes) -> CodePair:
-    payload = f"__os.write(1, {noise!r})\nif x_0 TEST:\n    r_0 = 1\n"
+def _noisy_pair(noise: bytes | str) -> CodePair:
+    """A pair whose payload writes bytes ``noise`` to descriptor 1, or
+    whose setup and payload both print str ``noise`` with no newline."""
+    if isinstance(noise, bytes):
+        setup, statement = "", f"__os.write(1, {noise!r})"
+    else:
+        statement = f"print({noise!r}, end='')"
+        setup = statement + "\n"
+    payload = f"{statement}\nif x_0 TEST:\n    r_0 = 1\n"
     return CodePair(
-        pair_id="unit-raw-fd",
+        pair_id="unit-noisy",
         idiom=IdiomKind.TRUTH_VALUE_TEST,
         features=None,
-        setup_source="import os as __os\nx_0 = 3\n",
+        setup_source=f"import os as __os\n{setup}x_0 = 3\n",
         non_idiomatic_source=payload.replace("TEST", "!= 0"),
         idiomatic_source=payload.replace(" TEST", ""),
         scope_mode="Global",
@@ -69,7 +76,7 @@ def test_failed_jobs_raise_with_stderr_tail():
         _job("import sys; sys.exit(3)")
     with pytest.raises(child.ChildError, match="exited -9"):
         _job("import os; os.kill(os.getpid(), 9)")
-    with pytest.raises(child.ChildError, match="unreadable child output"):
+    with pytest.raises(child.ChildError, match="bound no result"):
         _job("print('not json')")
 
 
@@ -80,12 +87,16 @@ def test_killed_server_is_replaced():
     assert replacement not in (server, os.getpid())
 
 
-@pytest.mark.parametrize("noise", [b"noise\n", b"{torn"])
+@pytest.mark.parametrize(
+    "noise", [b"noise\n", b"{torn", pytest.param("{torn", id="print-without-newline")]
+)
 def test_raw_fd_writes_cannot_reach_the_protocol(noise, monkeypatch):
-    pair = _raw_fd_pair(noise)
+    pair = _noisy_pair(noise)
     assert check(pair).status == "Equivalent"
+    assert diff_report(pair, probe=True)["root_cause"] != "Error"
     monkeypatch.delattr(os, "fork")
     assert check(pair).status == "Equivalent"
+    assert diff_report(pair, probe=True)["root_cause"] != "Error"
 
 
 def test_concurrent_checks_match_sequential(pair_per_idiom):
@@ -161,7 +172,7 @@ def fresh_pool(monkeypatch):
 
 
 def test_pool_never_exceeds_its_size(fresh_pool):
-    job = "import os, time; time.sleep(0.05); print(os.getppid())"
+    job = "import os, time; time.sleep(0.05); result = os.getppid()"
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -182,7 +193,7 @@ def _side_by_side(directory: Path) -> set[int]:
         "(d / str(os.getpid())).touch()\n"
         "while len(list(d.iterdir())) < 2:\n"
         "    time.sleep(0.01)\n"
-        "print(os.getppid())\n"
+        "result = os.getppid()\n"
     )
     with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
         return set(pool.map(lambda _: _job(job), range(2), timeout=60))

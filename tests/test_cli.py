@@ -285,7 +285,7 @@ def test_diff_isolates_a_crashing_pair(pipeline_dir, tmp_path, capsys):
 
     def server_pid():
         return child.run_job(
-            "import os; print(os.getppid())",
+            "import os; result = os.getppid()",
             "",
             timeout=30,
             interpreter=child.resolve_interpreter(),

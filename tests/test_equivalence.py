@@ -6,9 +6,11 @@ import dataclasses
 
 import pytest
 
+from idiobench import child
 from idiobench.catalog import IdiomKind, enumerate_matrix
 from idiobench.equivalence import (
     DEFAULT_TRIAL_SIZES,
+    _run_snapshots,
     check,
     is_scaffold_name,
     mutants,
@@ -32,6 +34,31 @@ def test_trial_sizes_follow_features(pair_per_idiom):
     assert trial_sizes_for(sized) == list(DEFAULT_TRIAL_SIZES)
     unsized = pair_per_idiom[IdiomKind.CHAIN_COMPARISON]
     assert trial_sizes_for(unsized) == [None]
+
+
+@pytest.mark.parametrize("scope", ["Global", "Local"])
+def test_run_snapshots_reports_names(scope):
+    payload = "r_0 = [1, 2]\nprint('p', end='')\nif x_0 > 5:\n    raise ValueError('big')\n"
+    setups = [
+        "import os\n_h = 1\ndef f_0():\n    pass\ny_0 = 0\nx_0 = 5\nprint('setup')\n",
+        "x_0 = 6\n",
+    ]
+    fine, raised = _run_snapshots(
+        payload, setups, scope, 30.0, child.resolve_interpreter()
+    )
+    # Under Local, r_0 is one of the payload's locals.
+    assert fine == {
+        "names": {"y_0": "0", "x_0": "5", "r_0": "[1, 2]"},
+        "exception": None,
+        "stdout": "p",
+    }
+    # Each setup gets a fresh namespace, and a raise under Local loses
+    # the payload's locals.
+    assert raised == {
+        "names": {"x_0": "6", "r_0": "[1, 2]"} if scope == "Global" else {"x_0": "6"},
+        "exception": "ValueError: big",
+        "stdout": "p",
+    }
 
 
 def test_check_requires_idiomatic_half():

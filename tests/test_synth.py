@@ -21,7 +21,6 @@ from idiobench.synth import (
     synthesize,
     wrap_calibration,
     wrap_scope,
-    wrap_snapshot,
 )
 
 from conftest import sample_vectors
@@ -316,15 +315,3 @@ def test_wrap_scope_places_payload(scope):
     tree = ast.parse(module)
     has_def = any(isinstance(n, ast.FunctionDef) for n in ast.walk(tree))
     assert has_def == (scope == "Local")
-
-
-def test_wrap_snapshot_reports_names():
-    module = wrap_snapshot("r_0 = [1, 2]\n", "x_0 = 5\n", "Global")
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", module], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    snap = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert snap["exception"] is None
-    assert snap["names"]["r_0"] == "[1, 2]"
-    assert snap["names"]["x_0"] == "5"
