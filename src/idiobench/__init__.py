@@ -15,7 +15,7 @@ from idiobench.catalog import (
     enumerate_matrix,
     feature_space,
 )
-from idiobench.synth import CodePair, synthesize, wrap_scope
+from idiobench.synth import CodePair, synthesize, wrap_pair
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,6 @@ __all__ = [
     "enumerate_matrix",
     "feature_space",
     "synthesize",
-    "wrap_scope",
+    "wrap_pair",
     "__version__",
 ]

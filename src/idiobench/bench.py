@@ -1,17 +1,20 @@
 """Measurement protocol: fresh-process invocations, iteration grids.
 
-Each variant of a pair is executed in n fresh interpreter processes; a
-process runs the setup once, then times the payload k times with a
-monotonic nanosecond clock. Payloads cheaper than the clock resolution
-are amplified by an inner repetition loop whose count is calibrated once
-per pair: one fresh child per variant grows the count in-process until
-an amplified iteration reaches the floor, and the larger of the two
-counts is applied to both variants, so the ratio of interest is
-unaffected. Each invocation runs a NonIdiomatic child, then an
-Idiomatic one: the variants interleave, NonIdiomatic always first.
+A pair is measured in n fresh interpreter processes, one per invocation.
+Each process runs the setup once, then, in each of k iterations, times
+both variants' payloads back to back with a monotonic nanosecond clock:
+NonIdiomatic first on even iterations, Idiomatic first on odd ones.
+Under Local scope the two payloads are two functions, and the
+invocation's parity decides which is defined first. Payloads cheaper
+than the clock resolution are amplified by an inner repetition loop
+whose count is calibrated once per pair: one fresh child runs the setup
+and grows each variant's count in-process until an amplified iteration
+reaches the floor, and the larger of the two counts is applied to both
+variants, so the ratio of interest is unaffected.
 
-Raw results append to a JSON Lines store, one record per invocation,
-keyed by (pair_id, variant, invocation) for idempotent resume.
+Raw results append to a JSON Lines store, one record per variant and
+invocation, keyed by (pair_id, variant, invocation) for idempotent
+resume; the two records of one invocation share the child's pid.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ import subprocess
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from idiobench import child
-from idiobench.synth import CodePair, wrap_calibration, wrap_scope
+from idiobench.synth import CodePair, wrap_calibration, wrap_pair
 
 if TYPE_CHECKING:
     import numpy as np
@@ -181,6 +184,9 @@ class TimingStore:
     duration grid row; ``calibration`` rows pin the repetition count a
     pair was amplified with, so resumed runs reuse it.
 
+    A later record with the key of an earlier one replaces it, so a
+    re-measured invocation supersedes a surviving half of itself.
+
     A process killed mid-append leaves a final line without its newline.
     Loading drops such a torn line from the file, with a warning, so that
     a resumed run measures that record again; a malformed line anywhere
@@ -234,7 +240,7 @@ class TimingStore:
 
     def record_invocation(self, record: dict[str, Any]) -> None:
         key = (record["pair_id"], record["variant"], int(record["invocation"]))
-        if key in self._invocations:
+        if self._invocations.get(key) == record:
             return
         self._append(record)
 
@@ -256,43 +262,26 @@ class TimingStore:
 # ============================================================
 
 
-def _variant_source(pair: CodePair, variant: str) -> str:
-    return pair.non_idiomatic_source if variant == NON_IDIOMATIC else pair.idiomatic_source
+def calibrate(pair: CodePair, cfg: BenchConfig, interpreter: str | None = None) -> int:
+    """Calibrate the shared repetition count for both variants.
 
-
-def _calibrate_variant(
-    pair: CodePair, variant: str, cfg: BenchConfig, interpreter: str
-) -> int:
-    """Find r so one amplified iteration takes at least min_iteration_ns.
-
-    One fresh child runs the setup once and grows r in-process (see
-    ``synth.wrap_calibration``); r stops at ``max_repetitions``.
+    One fresh child runs the setup once, then grows each variant's count
+    in-process in turn until one amplified iteration lasts at least
+    ``min_iteration_ns`` (see ``synth.wrap_calibration``); a count stops
+    at ``max_repetitions``. The larger of the two counts is used for
+    both, so the amplification factor cancels out of any ratio of the
+    two variants.
     """
     module = wrap_calibration(
-        _variant_source(pair, variant),
+        pair.non_idiomatic_source,
+        pair.idiomatic_source,
         pair.setup_source,
         pair.scope_mode,
         min_iteration_ns=cfg.min_iteration_ns,
         max_repetitions=cfg.max_repetitions,
     )
-    record, _ = run_invocation(module, cfg, interpreter)
-    return int(record["repetitions"])
-
-
-def calibrate(pair: CodePair, cfg: BenchConfig, interpreter: str | None = None) -> int:
-    """Calibrate the shared repetition count for both variants.
-
-    Each variant is calibrated in one fresh child of its own, which grows
-    the count in-process until one amplified iteration lasts at least
-    ``min_iteration_ns``. The larger of the two counts is used for both,
-    so the amplification factor cancels out of any ratio of the two
-    variants.
-    """
-    interp = interpreter or resolve_interpreter(cfg)
-    return max(
-        _calibrate_variant(pair, NON_IDIOMATIC, cfg, interp),
-        _calibrate_variant(pair, IDIOMATIC, cfg, interp),
-    )
+    record, _ = run_invocation(module, cfg, interpreter or resolve_interpreter(cfg))
+    return max(int(reps) for reps in record["repetitions"])
 
 
 def _matrix_from_rows(
@@ -319,7 +308,6 @@ def measure(
     store: TimingStore | None = None,
     *,
     assume_equivalent: bool = False,
-    progress: Callable[[str, int], None] | None = None,
 ) -> tuple[TimingMatrix, TimingMatrix]:
     """Measure both variants of ``pair`` under the full protocol.
 
@@ -327,12 +315,12 @@ def measure(
         pair: pair with both sources filled in.
         cfg: protocol parameters; defaults reproduce the reference
             protocol (50 invocations x 35 iterations, warmup 3).
-        store: optional JSONL store; completed invocations found there
-            are reused instead of re-run.
+        store: optional JSONL store; invocations whose two rows are both
+            found there are reused instead of re-run. An invocation with
+            only one row left is timed again and both rows are replaced.
         assume_equivalent: skip the behavioral gate. Without it the
             pair is differentially checked first and a Divergent or
             Error outcome aborts the measurement.
-        progress: optional callback (variant, invocation index).
 
     Returns:
         (non-idiomatic matrix, idiomatic matrix), each n x k of
@@ -364,48 +352,54 @@ def measure(
 
     collected: dict[str, list[dict[str, Any]]] = {v: [] for v in VARIANTS}
     for invocation in range(cfg.n_invocations):
-        for variant in VARIANTS:
-            existing = store.get(pair.pair_id, variant, invocation) if store else None
-            if (
-                existing
-                and existing.get("repetitions") == reps
-                and len(existing.get("timings_ns", [])) == cfg.k_iterations
-            ):
-                collected[variant].append(existing)
-                continue
-            module = wrap_scope(
-                _variant_source(pair, variant),
+        rows = [store.get(pair.pair_id, v, invocation) if store else None for v in VARIANTS]
+        if not all(
+            row
+            and row.get("repetitions") == reps
+            and len(row.get("timings_ns", [])) == cfg.k_iterations
+            for row in rows
+        ):
+            module = wrap_pair(
+                pair.non_idiomatic_source,
+                pair.idiomatic_source,
                 pair.setup_source,
                 pair.scope_mode,
+                invocation=invocation,
                 k_iterations=cfg.k_iterations,
                 repetitions=reps,
             )
             raw, pid = run_invocation(module, cfg, interp)
-            totals = raw["timings_ns"]
-            if len(totals) != cfg.k_iterations:
+            grids = raw["timings_ns"]
+            if len(grids) != len(VARIANTS) or any(
+                len(totals) != cfg.k_iterations for totals in grids
+            ):
                 raise ChildCrash(
-                    f"expected {cfg.k_iterations} iterations, got {len(totals)}"
+                    f"expected {len(VARIANTS)} x {cfg.k_iterations} iterations, "
+                    f"got {[len(totals) for totals in grids]}"
                 )
-            if any(t <= 0 for t in totals):
+            if any(t <= 0 for totals in grids for t in totals):
                 raise ClockResolution(
                     f"zero duration at repetitions={reps}; raise min_iteration_ns"
                 )
-            record = {
-                "kind": "invocation",
-                "pair_id": pair.pair_id,
-                "variant": variant,
-                "invocation": invocation,
-                "timings_ns": [t / reps for t in totals],
-                "repetitions": reps,
-                "interpreter_id": interp_id,
-                "host_id": host,
-                "pid": pid,
-            }
+            rows = [
+                {
+                    "kind": "invocation",
+                    "pair_id": pair.pair_id,
+                    "variant": variant,
+                    "invocation": invocation,
+                    "timings_ns": [t / reps for t in totals],
+                    "repetitions": reps,
+                    "interpreter_id": interp_id,
+                    "host_id": host,
+                    "pid": pid,
+                }
+                for variant, totals in zip(VARIANTS, grids)
+            ]
             if store:
-                store.record_invocation(record)
-            collected[variant].append(record)
-            if progress:
-                progress(variant, invocation)
+                for row in rows:
+                    store.record_invocation(row)
+        for variant, row in zip(VARIANTS, rows):
+            collected[variant].append(row)
 
     return (
         _matrix_from_rows(pair.pair_id, NON_IDIOMATIC, collected[NON_IDIOMATIC], cfg),

@@ -378,7 +378,7 @@ def setup_for_size(features: FeatureVector, size: int) -> str:
 
 
 # ============================================================
-# Scope wrapping
+# Timed modules
 # ============================================================
 
 
@@ -387,113 +387,150 @@ def _indent(text: str, levels: int) -> str:
     return "\n".join(pad + line if line.strip() else line for line in text.splitlines())
 
 
-def _timed_module(
-    payload: str, setup: str, scope_mode: str, reps: str, loop: str, record: str
-) -> str:
-    """Module text that times ``reps`` repetitions of ``payload`` per pass.
+def _repeat(payload: str, reps: str, levels: int) -> str:
+    """A loop at ``levels`` that runs ``reps`` repetitions of ``payload``."""
+    return (
+        "    " * levels
+        + f"for __r in range({reps}):\n"
+        + _indent(payload.rstrip("\n"), levels + 1)
+        + "\n"
+    )
 
-    ``loop`` opens the passes (its body is indented one level), each pass
-    reads the clock into ``__t0`` and ``__t1`` around the amplified
-    payload, and ``record`` ends the pass body.
+
+def _run(payloads: tuple[str, str], scope_mode: str, index: int, reps: str, levels: int) -> str:
+    """Statements at ``levels`` that run ``reps`` repetitions of one payload.
+
+    Local calls the payload's function, ``__payload_<index>``; Global runs
+    the same repetition loop in place, at module level.
     """
-    compile(payload, "<payload>", "exec")
-    header = "import time as __time\n\n" + setup.rstrip("\n")
     if scope_mode == "Local":
-        body = (
-            "\n\ndef __payload():\n"
-            + f"    for __r in range({reps}):\n"
-            + _indent(payload.rstrip("\n"), 2)
-            + "\n\n"
-            + loop
-            + "    __t0 = __time.perf_counter_ns()\n"
-            + "    __payload()\n"
-            + "    __t1 = __time.perf_counter_ns()\n"
-        )
-    elif scope_mode == "Global":
-        body = (
-            "\n\n"
-            + loop
-            + "    __t0 = __time.perf_counter_ns()\n"
-            + f"    for __r in range({reps}):\n"
-            + _indent(payload.rstrip("\n"), 2)
-            + "\n    __t1 = __time.perf_counter_ns()\n"
-        )
-    else:
+        return "    " * levels + f"__payload_{index}()\n"
+    return _repeat(payloads[index], reps, levels)
+
+
+def _timed_module(
+    payloads: tuple[str, str], setup: str, scope_mode: str, reps: str, body: str, first: int = 0
+) -> str:
+    """Module text: ``import time``, the setup, the payload functions, ``body``.
+
+    Under Local each payload becomes ``__payload_<i>()``, which runs
+    ``reps`` repetitions of it, so names resolve as fast locals while the
+    one call per timed pass amortizes over the repetitions. Payload
+    ``first`` is defined first.
+    """
+    if scope_mode not in ("Local", "Global"):
         raise ValueError(f"scope_mode must be Local or Global, got {scope_mode!r}")
-    module = header + body + record
+    for payload in payloads:
+        compile(payload, "<payload>", "exec")
+    module = "import time as __time\n\n" + setup.rstrip("\n") + "\n\n"
+    if scope_mode == "Local":
+        for index in (first, 1 - first):
+            module += f"def __payload_{index}():\n" + _repeat(payloads[index], reps, 1) + "\n"
+    module += body
     compile(module, "<module>", "exec")
     return module
 
 
 def _print_record(timings: str, repetitions: str) -> str:
-    """A line printing ``{"timings_ns": [...], "repetitions": r}``.
+    """A line printing ``{"timings_ns": ..., "repetitions": ...}``.
 
-    The child imports no ``json``: every timing is an int, so plain
-    string formatting already gives one valid JSON line.
+    The child imports no ``json``: both values are ints or lists of ints,
+    whose ``repr`` is already valid JSON. The record starts on a fresh
+    line, so a payload that printed without a newline cannot share it.
     """
     return (
-        "print('{\"timings_ns\": [%s], \"repetitions\": %d}' "
-        f"% (', '.join(map(str, {timings})), {repetitions}))\n"
+        "print('\\n{\"timings_ns\": %r, \"repetitions\": %r}' "
+        f"% ({timings}, {repetitions}))\n"
     )
 
 
-def wrap_scope(
-    payload: str,
+def wrap_pair(
+    non_idiomatic: str,
+    idiomatic: str,
     setup: str,
     scope_mode: str,
     *,
+    invocation: int = 0,
     k_iterations: int = 1,
     repetitions: int = 1,
 ) -> str:
-    """Build a runnable module timing ``payload`` under ``scope_mode``.
+    """Build a runnable module timing both payloads of a pair under ``scope_mode``.
 
-    Local runs the repetition loop inside a zero-argument function
-    invoked once per timed iteration, so names resolve as fast locals
-    while the one-time call overhead amortizes across repetitions;
-    Global runs the same loop at module level. The setup precedes
-    either, outside the timed region. The module prints exactly one JSON
-    line: ``{"timings_ns": [...], "repetitions": r}``.
+    The setup runs once, outside the timed region. Each of the
+    ``k_iterations`` passes then times ``repetitions`` repetitions of
+    both payloads back to back: the non-idiomatic one first on even
+    passes, the idiomatic one first on odd passes. Under Local the two
+    payload functions are defined in the order ``invocation``'s parity
+    gives, non-idiomatic first when it is even, so neither variant always
+    gets the first-defined function. Under Global the two repetition
+    loops run at module level in the same alternating order. The module
+    prints one JSON line: ``{"timings_ns": [non-idiomatic durations,
+    idiomatic durations], "repetitions": r}``.
     """
-    return _timed_module(
-        payload,
-        setup,
-        scope_mode,
-        str(repetitions),
-        f"__timings = []\nfor __i in range({k_iterations}):\n",
-        "    __timings.append(__t1 - __t0)\n" + _print_record("__timings", str(repetitions)),
+    payloads = (non_idiomatic, idiomatic)
+    reps = str(repetitions)
+
+    def one_pass(first: int) -> str:
+        second = 1 - first
+        return (
+            "        __t0 = __time.perf_counter_ns()\n"
+            + _run(payloads, scope_mode, first, reps, 2)
+            + "        __t1 = __time.perf_counter_ns()\n"
+            + _run(payloads, scope_mode, second, reps, 2)
+            + "        __t2 = __time.perf_counter_ns()\n"
+            + f"        __timings[{first}].append(__t1 - __t0)\n"
+            + f"        __timings[{second}].append(__t2 - __t1)\n"
+        )
+
+    body = (
+        "__timings = [[], []]\n"
+        + f"for __i in range({k_iterations}):\n"
+        + "    if __i % 2 == 0:\n"
+        + one_pass(0)
+        + "    else:\n"
+        + one_pass(1)
+        + _print_record("__timings", reps)
     )
+    return _timed_module(payloads, setup, scope_mode, reps, body, first=invocation % 2)
 
 
 def wrap_calibration(
-    payload: str,
+    non_idiomatic: str,
+    idiomatic: str,
     setup: str,
     scope_mode: str,
     *,
     min_iteration_ns: int,
     max_repetitions: int,
 ) -> str:
-    """Build a module that finds ``payload``'s repetition count in-process.
+    """Build a module that finds both payloads' repetition counts in-process.
 
     As ``timeit.Timer.autorange`` does, the module runs the setup once,
-    then times one amplified iteration (the same loop ``wrap_scope``
-    times) at a growing count, starting from 1. It stops once an
-    iteration lasts ``min_iteration_ns`` or the count reaches
-    ``max_repetitions``; otherwise it multiplies the count by
-    ``max(2, 1.3 * min_iteration_ns / duration)``, aiming 30% past the
-    floor to absorb run-to-run jitter. It prints the last duration and
-    count in ``wrap_scope``'s format: ``{"timings_ns": [d],
-    "repetitions": r}``.
+    then, for the non-idiomatic payload and then the idiomatic one, times
+    one amplified iteration (the loop ``wrap_pair`` times) at a growing
+    count, starting from 1. A count stops growing once an iteration lasts
+    ``min_iteration_ns`` or the count reaches ``max_repetitions``;
+    otherwise it is multiplied by ``max(2, 1.3 * min_iteration_ns /
+    duration)``, aiming 30% past the floor to absorb run-to-run jitter.
+    The module prints each payload's last duration and count, in
+    ``wrap_pair``'s variant order: ``{"timings_ns": [d_non, d_idi],
+    "repetitions": [r_non, r_idi]}``.
     """
-    return _timed_module(
-        payload,
-        setup,
-        scope_mode,
-        "__reps",
-        "__reps = 1\nwhile True:\n",
-        "    __d = __t1 - __t0\n"
-        + f"    if __d >= {min_iteration_ns} or __reps >= {max_repetitions}:\n"
-        + "        break\n"
-        + f"    __grow = max(2.0, 1.3 * {min_iteration_ns} / max(__d, 1))\n"
-        + f"    __reps = min({max_repetitions}, max(__reps + 1, int(__reps * __grow)))\n"
-        + _print_record("[__d]", "__reps"),
-    )
+    payloads = (non_idiomatic, idiomatic)
+    body = ""
+    for index in (0, 1):
+        body += (
+            "__reps = 1\n"
+            + "while True:\n"
+            + "    __t0 = __time.perf_counter_ns()\n"
+            + _run(payloads, scope_mode, index, "__reps", 1)
+            + "    __t1 = __time.perf_counter_ns()\n"
+            + "    __d = __t1 - __t0\n"
+            + f"    if __d >= {min_iteration_ns} or __reps >= {max_repetitions}:\n"
+            + "        break\n"
+            + f"    __grow = max(2.0, 1.3 * {min_iteration_ns} / max(__d, 1))\n"
+            + f"    __reps = min({max_repetitions}, max(__reps + 1, int(__reps * __grow)))\n"
+            + f"__d{index}, __r{index} = __d, __reps\n"
+        )
+    body += _print_record("[__d0, __d1]", "[__r0, __r1]")
+    return _timed_module(payloads, setup, scope_mode, "__reps", body)

@@ -24,9 +24,7 @@ from idiobench.bench import (
     EquivalenceGate,
     TimingMatrix,
     TimingStore,
-    _calibrate_variant,
     _child_env,
-    _variant_source,
     calibrate,
     host_id,
     interpreter_id,
@@ -36,7 +34,7 @@ from idiobench.bench import (
 )
 from idiobench.catalog import IdiomKind, enumerate_matrix
 from idiobench.refactor import refactor_pair
-from idiobench.synth import save_pair, synthesize, wrap_scope
+from idiobench.synth import save_pair, synthesize, wrap_pair
 
 from conftest import pyenv_interpreter
 
@@ -253,16 +251,41 @@ def test_measure_produces_full_grids(tmp_path, small_pair):
     assert idio.variant == IDIOMATIC
 
 
+def _pids_by_invocation(store, pair_id):
+    pids: dict[int, list[int]] = {}
+    for variant in VARIANTS:
+        for row in store.rows(pair_id, variant):
+            pids.setdefault(row["invocation"], []).append(row["pid"])
+    return pids
+
+
+def _assert_rows_of_an_invocation_share_a_pid(store, pair_id):
+    for invocation, pids in _pids_by_invocation(store, pair_id).items():
+        assert len(pids) == 2 and pids[0] == pids[1], (invocation, pids)
+
+
 def test_measure_records_distinct_pids(tmp_path, small_pair):
     store = TimingStore(tmp_path / "t.jsonl")
     measure(small_pair, FAST_CFG, store, assume_equivalent=True)
-    pids = [
-        row["pid"]
-        for variant in VARIANTS
-        for row in store.rows(small_pair.pair_id, variant)
-    ]
-    # Fresh process per invocation per variant.
-    assert len(set(pids)) == len(pids) == 2 * FAST_CFG.n_invocations
+    pids = _pids_by_invocation(store, small_pair.pair_id)
+    # One fresh process per invocation, timing both variants.
+    assert sorted(pids) == list(range(FAST_CFG.n_invocations))
+    _assert_rows_of_an_invocation_share_a_pid(store, small_pair.pair_id)
+    assert len({first for first, _ in pids.values()}) == FAST_CFG.n_invocations
+
+
+def test_measure_survives_a_payload_printing_without_newline(tmp_path, small_pair):
+    import dataclasses
+
+    printing = "print('p', end='')\n"
+    pair = dataclasses.replace(
+        small_pair,
+        non_idiomatic_source=printing + small_pair.non_idiomatic_source,
+        idiomatic_source=printing + small_pair.idiomatic_source,
+    )
+    cfg = dataclasses.replace(FAST_CFG, n_invocations=1, k_iterations=2)
+    for matrix in measure(pair, cfg, TimingStore(tmp_path / "t.jsonl")):
+        assert matrix.measured().shape == (1, 1)
 
 
 def test_measure_resumes_without_respawning(tmp_path, small_pair, monkeypatch):
@@ -331,12 +354,11 @@ def test_calibration_spawns_one_child_per_variant(small_pair, monkeypatch):
 
     monkeypatch.setattr(bench_mod, "run_invocation", counting)
     calibrate(small_pair, FAST_CFG)
-    assert len(modules) == 2
-    for module, source in zip(
-        modules, (small_pair.non_idiomatic_source, small_pair.idiomatic_source)
-    ):
+    # One child calibrates both variants, each in a growth loop of its own.
+    (module,) = modules
+    for source in (small_pair.non_idiomatic_source, small_pair.idiomatic_source):
         assert source.splitlines()[0] in module
-        assert "while True:" in module
+    assert module.count("while True:") == 2
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -345,24 +367,27 @@ def test_calibrated_count_reaches_the_floor(small_pair, variant):
 
     from idiobench.bench import run_invocation
 
+    # The other half is slowed, so ``variant`` is the faster one: the
+    # larger count, which both halves share, is its own.
+    slow = "for _ in range(30):\n    pass\n"
+    index = VARIANTS.index(variant)
+    sources = [small_pair.non_idiomatic_source, small_pair.idiomatic_source]
+    sources[1 - index] = slow + sources[1 - index]
+    pair = dataclasses.replace(
+        small_pair, non_idiomatic_source=sources[0], idiomatic_source=sources[1]
+    )
     cfg = dataclasses.replace(FAST_CFG, min_iteration_ns=1_000_000)
     interp = resolve_interpreter(cfg)
-    reps = _calibrate_variant(small_pair, variant, cfg, interp)
+    reps = calibrate(pair, cfg, interp)
     assert 1 < reps < cfg.max_repetitions
-    module = wrap_scope(
-        _variant_source(small_pair, variant),
-        small_pair.setup_source,
-        small_pair.scope_mode,
-        k_iterations=1,
-        repetitions=reps,
-    )
+    module = wrap_pair(*sources, pair.setup_source, pair.scope_mode, repetitions=reps)
     record, _ = run_invocation(module, cfg, interp)
     # A fresh child at that count lasts about the floor or more; the
     # allowance covers a change of host speed between the two children.
-    assert record["timings_ns"][0] >= cfg.min_iteration_ns / 2
+    assert record["timings_ns"][index][0] >= cfg.min_iteration_ns / 2
 
     capped = dataclasses.replace(cfg, max_repetitions=16)
-    assert _calibrate_variant(small_pair, variant, capped, interp) == 16
+    assert calibrate(pair, capped, interp) == 16
 
 
 def test_bench_stage_imports_no_numpy():
@@ -452,11 +477,15 @@ class _FakeChild:
 
     def __call__(self, module_source, cfg, interpreter):
         self.calls.append(module_source)
-        # A calibration module times one pass and already meets the floor.
-        loop = re.search(r"for __i in range\((\d+)\)", module_source)
-        k = int(loop.group(1)) if loop else 1
         base = 2_000_000 + len(module_source)
-        return {"timings_ns": [base + i for i in range(k)], "repetitions": 1}, next(self._pids)
+        pid = next(self._pids)
+        loop = re.search(r"for __i in range\((\d+)\)", module_source)
+        if loop is None:
+            # A calibration module: both variants already meet the floor.
+            return {"timings_ns": [base, base], "repetitions": [1, 1]}, pid
+        k = int(loop.group(1))
+        grids = [[base + i for i in range(k)], [base + k + i for i in range(k)]]
+        return {"timings_ns": grids, "repetitions": 1}, pid
 
 
 def _bench_cli(pairs_dir, store) -> None:
@@ -487,6 +516,7 @@ def test_bench_resumes_after_a_torn_line(tmp_path, small_pair, monkeypatch, caps
     calls.clear()
     bench(resumed)
     assert len(calls) == 1
+    _assert_rows_of_an_invocation_share_a_pid(TimingStore(resumed), small_pair.pair_id)
     cfg = BenchConfig(warmup=1)
     for left, right in zip(
         load_matrices(TimingStore(whole), small_pair.pair_id, cfg),
@@ -523,7 +553,7 @@ def test_bench_resume_after_a_kill_at_any_byte(tmp_path, small_pair, whole_bench
     kept = text[:cut].count(b"\n")
     lines = text.splitlines()
     lost = [json.loads(line) for line in lines[kept:]]
-    lost_invocations = sum(rec.get("kind") == "invocation" for rec in lost)
+    lost_invocations = {rec["invocation"] for rec in lost if rec.get("kind") == "invocation"}
     lost_calibration = any(rec.get("kind") == "calibration" for rec in lost)
 
     store = tmp_path / f"cut-{cut}.jsonl"
@@ -533,11 +563,13 @@ def test_bench_resume_after_a_kill_at_any_byte(tmp_path, small_pair, whole_bench
         mp.setattr(bench_mod, "run_invocation", fake)
         _bench_cli(pairs_dir, store)
     calibrations = sum("for __i in range(" not in module for module in fake.calls)
-    assert calibrations == (2 if lost_calibration else 0)
-    assert len(fake.calls) - calibrations == lost_invocations
+    assert calibrations == (1 if lost_calibration else 0)
+    # One child per invocation that lost at least one of its two rows.
+    assert len(fake.calls) - calibrations == len(lost_invocations)
     cfg = BenchConfig(warmup=1)
     for left, right in zip(
         load_matrices(whole, small_pair.pair_id, cfg),
         load_matrices(TimingStore(store), small_pair.pair_id, cfg),
     ):
         assert left.timings_ns == right.timings_ns
+    _assert_rows_of_an_invocation_share_a_pid(TimingStore(store), small_pair.pair_id)

@@ -20,7 +20,7 @@ from idiobench.synth import (
     star_list_len,
     synthesize,
     wrap_calibration,
-    wrap_scope,
+    wrap_pair,
 )
 
 from conftest import sample_vectors
@@ -250,15 +250,18 @@ def test_pair_json_is_sorted_and_stable(tmp_path):
 # ============================================================
 
 
-def test_wrap_scope_emits_timings():
+def test_wrap_pair_emits_timings():
+    from idiobench.refactor import refactor_pair
+
     vector = next(
         v
         for v in enumerate_matrix(IdiomKind.LIST_COMPREHENSION)
         if v.size == 10 and v.scope == "Local"
     )
-    pair = synthesize(vector)
-    module = wrap_scope(
+    pair = refactor_pair(synthesize(vector))
+    module = wrap_pair(
         pair.non_idiomatic_source,
+        pair.idiomatic_source,
         pair.setup_source,
         pair.scope_mode,
         k_iterations=4,
@@ -270,14 +273,16 @@ def test_wrap_scope_emits_timings():
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     assert record["repetitions"] == 3
-    assert len(record["timings_ns"]) == 4
-    assert all(t > 0 for t in record["timings_ns"])
+    assert len(record["timings_ns"]) == 2
+    for timings in record["timings_ns"]:
+        assert len(timings) == 4
+        assert all(t > 0 for t in timings)
 
 
 @pytest.mark.parametrize("scope", ["Global", "Local"])
-def test_wrap_scope_imports_no_json(scope):
+def test_wrap_pair_imports_no_json(scope):
     # json pulls in re and enum; the timed child must not pay for them.
-    module = wrap_scope("r_0 = [1]\n", "", scope, k_iterations=2, repetitions=3)
+    module = wrap_pair("r_0 = [1]\n", "r_0 = [1]\n", "", scope, k_iterations=2, repetitions=3)
     probe = "import sys; print(sorted({'json', 're', 'enum'} & set(sys.modules)))\n"
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", module + probe], capture_output=True, text=True
@@ -292,7 +297,12 @@ def test_wrap_scope_imports_no_json(scope):
 def test_wrap_calibration_grows_to_the_floor_or_the_cap(scope):
     def run(floor, cap):
         module = wrap_calibration(
-            "r_0 = [1]\n", "", scope, min_iteration_ns=floor, max_repetitions=cap
+            "r_0 = [1]\n",
+            "r_0 = [1, 2, 3]\n",
+            "",
+            scope,
+            min_iteration_ns=floor,
+            max_repetitions=cap,
         )
         proc = subprocess.run(
             [sys.executable, "-I", "-S", "-c", module], capture_output=True, text=True
@@ -301,17 +311,51 @@ def test_wrap_calibration_grows_to_the_floor_or_the_cap(scope):
         return json.loads(proc.stdout.strip().splitlines()[-1])
 
     reached = run(200_000, 1 << 30)
-    (duration,) = reached["timings_ns"]
-    assert duration >= 200_000
-    assert reached["repetitions"] > 1
+    assert len(reached["timings_ns"]) == len(reached["repetitions"]) == 2
+    for duration, reps in zip(reached["timings_ns"], reached["repetitions"]):
+        assert duration >= 200_000
+        assert reps > 1
     capped = run(10**12, 100)
-    assert capped["repetitions"] == 100
-    assert len(capped["timings_ns"]) == 1
+    assert capped["repetitions"] == [100, 100]
+    assert len(capped["timings_ns"]) == 2
 
 
 @pytest.mark.parametrize("scope", ["Global", "Local"])
-def test_wrap_scope_places_payload(scope):
-    module = wrap_scope("r_0 = 1\n", "", scope, k_iterations=1, repetitions=1)
+def test_wrap_pair_places_payload(scope):
+    module = wrap_pair("r_0 = 1\n", "r_0 = 2\n", "", scope, k_iterations=1, repetitions=1)
     tree = ast.parse(module)
-    has_def = any(isinstance(n, ast.FunctionDef) for n in ast.walk(tree))
-    assert has_def == (scope == "Local")
+    defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    assert len(defs) == (2 if scope == "Local" else 0)
+
+
+def _tagging_module(scope: str, invocation: int) -> str:
+    """A paired module whose payloads append their variant's tag to ``tags``."""
+    module = wrap_pair(
+        "tags.append('N')\n",
+        "tags.append('I')\n",
+        "tags = []\n",
+        scope,
+        invocation=invocation,
+        k_iterations=4,
+        repetitions=1,
+    )
+    return module + "print(''.join(tags))\n"
+
+
+@pytest.mark.parametrize("invocation", [0, 1])
+@pytest.mark.parametrize("scope", ["Global", "Local"])
+def test_wrap_pair_alternates_run_and_definition_order(scope, invocation):
+    module = _tagging_module(scope, invocation)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", module], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    # Iteration i runs NonIdiomatic first when i is even, Idiomatic first
+    # when it is odd, whatever the invocation: NI, IN, NI, IN.
+    assert proc.stdout.strip().splitlines()[-1] == "NIINNIIN"
+    defined = [n.name for n in ast.parse(module).body if isinstance(n, ast.FunctionDef)]
+    if scope == "Local":
+        order = ["__payload_0", "__payload_1"]
+        assert defined == (order if invocation % 2 == 0 else order[::-1])
+    else:
+        assert defined == []
