@@ -12,13 +12,16 @@ and grows each variant's count in-process until an amplified iteration
 reaches the floor, and the larger of the two counts is applied to both
 variants, so the ratio of interest is unaffected.
 
-Raw results append to a JSON Lines store, one record per variant and
-invocation, keyed by (pair_id, variant, invocation) for idempotent
-resume; the two records of one invocation share the child's pid.
+Raw results append to a JSON Lines store, one row per invocation keyed
+by (pair_id, invocation), holding both variants' durations and the
+repetition count. A row carries the ``content_id`` of the code and
+interpreter it timed, and a resumed run reuses only rows whose key
+matches, so an edited pair or another interpreter is timed again.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -177,26 +180,32 @@ def run_invocation(
 # ============================================================
 
 
+def content_id(pair: CodePair, interp_id: str) -> str:
+    """16 hex digits of a sha1 over the timed code and the interpreter id."""
+    code = (pair.setup_source, pair.non_idiomatic_source, pair.idiomatic_source)
+    key = json.dumps([*code, pair.scope_mode, interp_id])
+    return hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
+
+
 class TimingStore:
-    """Append-only JSON Lines store of invocation records.
+    """Append-only JSON Lines store, one row per timed invocation.
 
-    Records carry ``kind``: ``invocation`` rows hold one per-iteration
-    duration grid row; ``calibration`` rows pin the repetition count a
-    pair was amplified with, so resumed runs reuse it.
+    A row is ``{pair_id, invocation, content_id, timings_ns, repetitions,
+    interpreter_id, host_id, pid}``, keyed by ``(pair_id, invocation)``;
+    a later row replaces an earlier one with its key. ``timings_ns`` holds
+    2k per-repetition durations, the non-idiomatic k first, and
+    ``repetitions`` the count both variants shared.
 
-    A later record with the key of an earlier one replaces it, so a
-    re-measured invocation supersedes a surviving half of itself.
-
-    A process killed mid-append leaves a final line without its newline.
-    Loading drops such a torn line from the file, with a warning, so that
-    a resumed run measures that record again; a malformed line anywhere
-    else raises.
+    Loading raises ``ValueError`` on a line without ``content_id``, as
+    written before rows were keyed by content. A process killed
+    mid-append leaves a final line without its newline; loading drops it
+    from the file, with a warning, so that a resumed run measures that
+    row again. A malformed line anywhere else raises.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._invocations: dict[tuple[str, str, int], dict[str, Any]] = {}
-        self._calibrations: dict[str, int] = {}
+        self._rows: dict[tuple[str, int], dict[str, Any]] = {}
         if self.path.exists():
             self._load()
 
@@ -205,56 +214,36 @@ class TimingStore:
         body, _, torn = data.rpartition(b"\n")
         for line in body.split(b"\n"):
             if line.strip():
-                self._ingest(json.loads(line))
+                record = json.loads(line)
+                if "content_id" not in record:
+                    raise ValueError(
+                        f"{self.path} holds a record without content_id, written "
+                        "by an older idiobench; re-run bench into a new store"
+                    )
+                self._rows[(record["pair_id"], record["invocation"])] = record
         if torn:
             log.warning("%s: dropping a torn final line (%d bytes)", self.path, len(torn))
             with self.path.open("r+b") as fh:
                 fh.truncate(len(data) - len(torn))
 
-    def _ingest(self, record: dict[str, Any]) -> None:
-        kind = record.get("kind", "invocation")
-        if kind == "calibration":
-            self._calibrations[record["pair_id"]] = int(record["repetitions"])
-        else:
-            key = (record["pair_id"], record["variant"], int(record["invocation"]))
-            self._invocations[key] = record
-
-    def _append(self, record: dict[str, Any]) -> None:
+    def record_invocation(self, row: dict[str, Any]) -> None:
+        key = (row["pair_id"], row["invocation"])
+        if self._rows.get(key) == row:
+            return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._ingest(record)
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        self._rows[key] = row
 
-    def calibration(self, pair_id: str) -> int | None:
-        return self._calibrations.get(pair_id)
-
-    def record_calibration(self, pair_id: str, repetitions: int) -> None:
-        if self.calibration(pair_id) == repetitions:
-            return
-        self._append(
-            {"kind": "calibration", "pair_id": pair_id, "repetitions": repetitions}
+    def rows(self, pair_id: str) -> list[dict[str, Any]]:
+        """The pair's rows in invocation order."""
+        return sorted(
+            (row for (pid, _), row in self._rows.items() if pid == pair_id),
+            key=lambda row: row["invocation"],
         )
 
-    def get(self, pair_id: str, variant: str, invocation: int) -> dict[str, Any] | None:
-        return self._invocations.get((pair_id, variant, invocation))
-
-    def record_invocation(self, record: dict[str, Any]) -> None:
-        key = (record["pair_id"], record["variant"], int(record["invocation"]))
-        if self._invocations.get(key) == record:
-            return
-        self._append(record)
-
-    def rows(self, pair_id: str, variant: str) -> list[dict[str, Any]]:
-        rows = [
-            rec
-            for (pid, var, _), rec in self._invocations.items()
-            if pid == pair_id and var == variant
-        ]
-        rows.sort(key=lambda rec: rec["invocation"])
-        return rows
-
     def pair_ids(self) -> list[str]:
-        return sorted({pid for (pid, _, _) in self._invocations})
+        return sorted({pid for (pid, _) in self._rows})
 
 
 # ============================================================
@@ -284,22 +273,29 @@ def calibrate(pair: CodePair, cfg: BenchConfig, interpreter: str | None = None) 
     return max(int(reps) for reps in record["repetitions"])
 
 
-def _matrix_from_rows(
-    pair_id: str, variant: str, rows: list[dict[str, Any]], cfg: BenchConfig
-) -> TimingMatrix:
-    grid = [rows[i]["timings_ns"] for i in range(cfg.n_invocations)]
-    first = rows[0]
-    return TimingMatrix(
-        pair_id=pair_id,
-        variant=variant,
-        n_invocations=cfg.n_invocations,
-        k_iterations=cfg.k_iterations,
-        warmup=cfg.warmup,
-        timings_ns=grid,
-        interpreter_id=first.get("interpreter_id", "unknown"),
-        host_id=first.get("host_id", "unknown"),
-        repetitions=int(first.get("repetitions", 1)),
+def _matrices(
+    pair_id: str, rows: list[dict[str, Any]], cfg: BenchConfig
+) -> tuple[TimingMatrix, TimingMatrix]:
+    """Both variants' n x k matrices from a pair's n rows of 2k durations."""
+    k, first = cfg.k_iterations, rows[0]
+    # The idiomatic half takes the rest of a row, so a row that does not
+    # hold 2k durations fails the n x k check.
+    grids = ([r["timings_ns"][:k] for r in rows], [r["timings_ns"][k:] for r in rows])
+    non_id, idio = (
+        TimingMatrix(
+            pair_id=pair_id,
+            variant=variant,
+            n_invocations=len(rows),
+            k_iterations=k,
+            warmup=cfg.warmup,
+            timings_ns=grid,
+            interpreter_id=first["interpreter_id"],
+            host_id=first["host_id"],
+            repetitions=first["repetitions"],
+        )
+        for variant, grid in zip(VARIANTS, grids)
     )
+    return non_id, idio
 
 
 def measure(
@@ -315,9 +311,11 @@ def measure(
         pair: pair with both sources filled in.
         cfg: protocol parameters; defaults reproduce the reference
             protocol (50 invocations x 35 iterations, warmup 3).
-        store: optional JSONL store; invocations whose two rows are both
-            found there are reused instead of re-run. An invocation with
-            only one row left is timed again and both rows are replaced.
+        store: optional JSONL store. Only rows with this pair's
+            ``content_id`` on this interpreter and 2k durations count:
+            the first gives the repetition count (calibration runs when
+            none does), and an invocation whose row has that count is
+            reused. Every other invocation is timed and its row replaced.
         assume_equivalent: skip the behavioral gate. Without it the
             pair is differentially checked first and a Divergent or
             Error outcome aborts the measurement.
@@ -342,89 +340,82 @@ def measure(
             )
 
     interp_id = interpreter_id(interp)
+    key = content_id(pair, interp_id)
     host = host_id()
+    k = cfg.k_iterations
+    stored = [
+        row
+        for row in (store.rows(pair.pair_id) if store else [])
+        if row["content_id"] == key and len(row["timings_ns"]) == 2 * k
+    ]
+    reps = stored[0]["repetitions"] if stored else calibrate(pair, cfg, interp)
+    reusable = {row["invocation"]: row for row in stored if row["repetitions"] == reps}
 
-    reps = store.calibration(pair.pair_id) if store else None
-    if reps is None:
-        reps = calibrate(pair, cfg, interp)
-        if store:
-            store.record_calibration(pair.pair_id, reps)
-
-    collected: dict[str, list[dict[str, Any]]] = {v: [] for v in VARIANTS}
+    rows = []
     for invocation in range(cfg.n_invocations):
-        rows = [store.get(pair.pair_id, v, invocation) if store else None for v in VARIANTS]
-        if not all(
-            row
-            and row.get("repetitions") == reps
-            and len(row.get("timings_ns", [])) == cfg.k_iterations
-            for row in rows
-        ):
+        row = reusable.get(invocation)
+        if row is None:
             module = wrap_pair(
                 pair.non_idiomatic_source,
                 pair.idiomatic_source,
                 pair.setup_source,
                 pair.scope_mode,
                 invocation=invocation,
-                k_iterations=cfg.k_iterations,
+                k_iterations=k,
                 repetitions=reps,
             )
             raw, pid = run_invocation(module, cfg, interp)
-            grids = raw["timings_ns"]
-            if len(grids) != len(VARIANTS) or any(
-                len(totals) != cfg.k_iterations for totals in grids
-            ):
-                raise ChildCrash(
-                    f"expected {len(VARIANTS)} x {cfg.k_iterations} iterations, "
-                    f"got {[len(totals) for totals in grids]}"
-                )
-            if any(t <= 0 for totals in grids for t in totals):
+            lengths = [len(totals) for totals in raw["timings_ns"]]
+            if lengths != [k, k]:
+                raise ChildCrash(f"expected 2 x {k} iterations, got {lengths}")
+            timings = raw["timings_ns"][0] + raw["timings_ns"][1]
+            if any(t <= 0 for t in timings):
                 raise ClockResolution(
                     f"zero duration at repetitions={reps}; raise min_iteration_ns"
                 )
-            rows = [
-                {
-                    "kind": "invocation",
-                    "pair_id": pair.pair_id,
-                    "variant": variant,
-                    "invocation": invocation,
-                    "timings_ns": [t / reps for t in totals],
-                    "repetitions": reps,
-                    "interpreter_id": interp_id,
-                    "host_id": host,
-                    "pid": pid,
-                }
-                for variant, totals in zip(VARIANTS, grids)
-            ]
+            row = {
+                "pair_id": pair.pair_id,
+                "invocation": invocation,
+                "content_id": key,
+                "timings_ns": [t / reps for t in timings],
+                "repetitions": reps,
+                "interpreter_id": interp_id,
+                "host_id": host,
+                "pid": pid,
+            }
             if store:
-                for row in rows:
-                    store.record_invocation(row)
-        for variant, row in zip(VARIANTS, rows):
-            collected[variant].append(row)
-
-    return (
-        _matrix_from_rows(pair.pair_id, NON_IDIOMATIC, collected[NON_IDIOMATIC], cfg),
-        _matrix_from_rows(pair.pair_id, IDIOMATIC, collected[IDIOMATIC], cfg),
-    )
+                store.record_invocation(row)
+        rows.append(row)
+    return _matrices(pair.pair_id, rows, cfg)
 
 
 def load_matrices(
-    store: TimingStore, pair_id: str, cfg: BenchConfig | None = None
+    store: TimingStore,
+    pair_id: str,
+    cfg: BenchConfig | None = None,
+    pair: CodePair | None = None,
 ) -> tuple[TimingMatrix, TimingMatrix]:
     """Rebuild both variants' matrices from stored rows.
 
     The grid shape is taken from the stored rows themselves; ``cfg``
-    supplies the warmup (and validates n/k when given).
+    supplies the warmup. Raises ``ValueError`` when the rows leave a
+    hole, disagree on ``content_id`` or ``repetitions`` (a grid mixed
+    from two runs), or timed other code than ``pair`` now holds.
     """
-    cfg = cfg or BenchConfig()
-    out = []
-    for variant in VARIANTS:
-        rows = store.rows(pair_id, variant)
-        if not rows:
-            raise KeyError(f"no stored rows for {pair_id}/{variant}")
-        n = len(rows)
-        k = len(rows[0]["timings_ns"])
-        shaped = replace(cfg, n_invocations=n, k_iterations=k)
-        if [r["invocation"] for r in rows] != list(range(n)):
-            raise ValueError(f"store holds a partial grid for {pair_id}/{variant}")
-        out.append(_matrix_from_rows(pair_id, variant, rows, shaped))
-    return out[0], out[1]
+    rows = store.rows(pair_id)
+    if not rows:
+        raise KeyError(f"no stored rows for {pair_id}")
+    if [row["invocation"] for row in rows] != list(range(len(rows))):
+        raise ValueError(f"store holds a partial grid for {pair_id}")
+    first = rows[0]
+    for field in ("content_id", "repetitions"):
+        if any(row[field] != first[field] for row in rows):
+            raise ValueError(f"rows of {pair_id} disagree on {field}; re-bench at the full --n")
+    if pair is not None and first["content_id"] != content_id(pair, first["interpreter_id"]):
+        raise ValueError(f"rows of {pair_id} are stale: the pair changed; re-run bench")
+    shaped = replace(
+        cfg or BenchConfig(),
+        n_invocations=len(rows),
+        k_iterations=len(first["timings_ns"]) // 2,
+    )
+    return _matrices(pair_id, rows, shaped)

@@ -172,7 +172,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             log.warning("timings for unknown pair %s skipped", pair_id)
             continue
         try:
-            non_id, idio = load_matrices(store, pair_id, cfg)
+            non_id, idio = load_matrices(store, pair_id, cfg, pair)
         except (KeyError, ValueError) as exc:
             failures += 1
             log.error("pair %s skipped: %s", pair_id, exc)

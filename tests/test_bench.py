@@ -26,6 +26,7 @@ from idiobench.bench import (
     TimingStore,
     _child_env,
     calibrate,
+    content_id,
     host_id,
     interpreter_id,
     load_matrices,
@@ -191,14 +192,13 @@ def test_protocol_runs_on_each_local_interpreter(minor, small_pair, local_pair, 
 # ============================================================
 
 
-def _record(pair_id="p", variant=NON_IDIOMATIC, invocation=0, k=3):
+def _record(pair_id="p", invocation=0, k=3, content="c0ffee", repetitions=4):
     return {
-        "kind": "invocation",
         "pair_id": pair_id,
-        "variant": variant,
         "invocation": invocation,
-        "timings_ns": [100.0 + invocation] * k,
-        "repetitions": 4,
+        "content_id": content,
+        "timings_ns": [100.0 + invocation] * k + [200.0 + invocation] * k,
+        "repetitions": repetitions,
         "interpreter_id": "cpython-test",
         "host_id": "host",
         "pid": 1234 + invocation,
@@ -208,12 +208,10 @@ def _record(pair_id="p", variant=NON_IDIOMATIC, invocation=0, k=3):
 def test_store_round_trip(tmp_path):
     path = tmp_path / "timings.jsonl"
     store = TimingStore(path)
-    store.record_calibration("p", 4)
     for i in range(3):
         store.record_invocation(_record(invocation=i))
     reopened = TimingStore(path)
-    assert reopened.calibration("p") == 4
-    assert [r["invocation"] for r in reopened.rows("p", NON_IDIOMATIC)] == [0, 1, 2]
+    assert reopened.rows("p") == [_record(invocation=i) for i in range(3)]
     assert reopened.pair_ids() == ["p"]
 
 
@@ -222,17 +220,48 @@ def test_store_idempotent_writes(tmp_path):
     store = TimingStore(path)
     store.record_invocation(_record())
     store.record_invocation(_record())
-    store.record_calibration("p", 4)
-    store.record_calibration("p", 4)
     lines = [l for l in path.read_text().splitlines() if l.strip()]
-    assert len(lines) == 2  # one invocation + one calibration
+    assert len(lines) == 1
 
 
 def test_store_rows_sorted_even_if_appended_out_of_order(tmp_path):
     store = TimingStore(tmp_path / "t.jsonl")
     for i in (2, 0, 1):
         store.record_invocation(_record(invocation=i))
-    assert [r["invocation"] for r in store.rows("p", NON_IDIOMATIC)] == [0, 1, 2]
+    assert [r["invocation"] for r in store.rows("p")] == [0, 1, 2]
+
+
+def test_a_later_row_replaces_its_invocation(tmp_path):
+    path = tmp_path / "t.jsonl"
+    store = TimingStore(path)
+    store.record_invocation(_record(invocation=0))
+    store.record_invocation(_record(invocation=0, content="beef"))
+    assert [r["content_id"] for r in TimingStore(path).rows("p")] == ["beef"]
+
+
+@pytest.mark.parametrize(
+    "old",
+    [
+        {"kind": "calibration", "pair_id": "p", "repetitions": 4},
+        {
+            "kind": "invocation",
+            "pair_id": "p",
+            "variant": NON_IDIOMATIC,
+            "invocation": 0,
+            "timings_ns": [100.0] * 3,
+            "repetitions": 4,
+        },
+    ],
+    ids=["calibration", "per-variant"],
+)
+def test_store_written_before_content_keys_fails_loudly(tmp_path, old):
+    path = tmp_path / "old.jsonl"
+    text = json.dumps(_record()) + "\n" + json.dumps(old) + "\n"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="re-run bench into a new store") as err:
+        TimingStore(path)
+    assert str(path) in str(err.value)
+    assert path.read_text() == text
 
 
 # ============================================================
@@ -251,27 +280,21 @@ def test_measure_produces_full_grids(tmp_path, small_pair):
     assert idio.variant == IDIOMATIC
 
 
-def _pids_by_invocation(store, pair_id):
-    pids: dict[int, list[int]] = {}
-    for variant in VARIANTS:
-        for row in store.rows(pair_id, variant):
-            pids.setdefault(row["invocation"], []).append(row["pid"])
-    return pids
-
-
-def _assert_rows_of_an_invocation_share_a_pid(store, pair_id):
-    for invocation, pids in _pids_by_invocation(store, pair_id).items():
-        assert len(pids) == 2 and pids[0] == pids[1], (invocation, pids)
+def _assert_one_line_per_invocation(path, n):
+    rows = [json.loads(line) for line in Path(path).read_text().splitlines()]
+    assert sorted(row["invocation"] for row in rows) == list(range(n))
 
 
 def test_measure_records_distinct_pids(tmp_path, small_pair):
     store = TimingStore(tmp_path / "t.jsonl")
     measure(small_pair, FAST_CFG, store, assume_equivalent=True)
-    pids = _pids_by_invocation(store, small_pair.pair_id)
-    # One fresh process per invocation, timing both variants.
-    assert sorted(pids) == list(range(FAST_CFG.n_invocations))
-    _assert_rows_of_an_invocation_share_a_pid(store, small_pair.pair_id)
-    assert len({first for first, _ in pids.values()}) == FAST_CFG.n_invocations
+    # One fresh process per invocation, timing both variants: one row
+    # each, holding both grids.
+    n, k = FAST_CFG.n_invocations, FAST_CFG.k_iterations
+    _assert_one_line_per_invocation(store.path, n)
+    rows = store.rows(small_pair.pair_id)
+    assert all(len(row["timings_ns"]) == 2 * k for row in rows)
+    assert len({row["pid"] for row in rows}) == n
 
 
 def test_measure_survives_a_payload_printing_without_newline(tmp_path, small_pair):
@@ -306,16 +329,22 @@ def test_measure_resumes_without_respawning(tmp_path, small_pair, monkeypatch):
 
 def test_measure_reuses_stored_calibration(tmp_path, small_pair, monkeypatch):
     store = TimingStore(tmp_path / "t.jsonl")
-    store.record_calibration(small_pair.pair_id, 7)
+    key = content_id(small_pair, interpreter_id(resolve_interpreter()))
+    kept = _record(
+        small_pair.pair_id, invocation=1, k=FAST_CFG.k_iterations, content=key, repetitions=7
+    )
+    store.record_invocation(kept)
 
     import idiobench.bench as bench_mod
 
     def no_calibration(*args, **kwargs):
-        raise AssertionError("calibration must be reused from the store")
+        raise AssertionError("the count must be read back from the stored row")
 
     monkeypatch.setattr(bench_mod, "calibrate", no_calibration)
     measure(small_pair, FAST_CFG, store, assume_equivalent=True)
-    assert store.rows(small_pair.pair_id, NON_IDIOMATIC)[0]["repetitions"] == 7
+    rows = store.rows(small_pair.pair_id)
+    assert [row["repetitions"] for row in rows] == [7, 7, 7]
+    assert rows[1] == kept
 
 
 def test_measure_gates_on_divergence(tmp_path, small_pair):
@@ -411,11 +440,34 @@ def test_load_matrices_round_trip(tmp_path, small_pair):
     assert loaded_non.repetitions == non_id.repetitions
 
 
+def test_load_matrices_splits_each_row_into_both_grids(tmp_path):
+    store = TimingStore(tmp_path / "t.jsonl")
+    for i in range(2):
+        store.record_invocation(_record(invocation=i))
+    non_id, idio = load_matrices(store, "p", BenchConfig(warmup=1))
+    assert non_id.timings_ns == [[100.0] * 3, [101.0] * 3]
+    assert idio.timings_ns == [[200.0] * 3, [201.0] * 3]
+    assert (non_id.variant, idio.variant) == VARIANTS
+    assert non_id.repetitions == idio.repetitions == 4
+
+
 def test_load_matrices_rejects_partial_grid(tmp_path):
     store = TimingStore(tmp_path / "t.jsonl")
     store.record_invocation(_record(invocation=0))
     store.record_invocation(_record(invocation=2))  # hole at 1
-    store.record_invocation(_record(variant=IDIOMATIC, invocation=0))
+    with pytest.raises(ValueError):
+        load_matrices(store, "p", BenchConfig(warmup=1))
+
+
+@pytest.mark.parametrize(
+    "odd_one",
+    [{"content": "beef"}, {"repetitions": 8}, {"k": 4}],
+    ids=["content_id", "repetitions", "k"],
+)
+def test_load_matrices_rejects_a_mixed_grid(tmp_path, odd_one):
+    store = TimingStore(tmp_path / "t.jsonl")
+    store.record_invocation(_record(invocation=0))
+    store.record_invocation(_record(invocation=1, **odd_one))
     with pytest.raises(ValueError):
         load_matrices(store, "p", BenchConfig(warmup=1))
 
@@ -458,7 +510,7 @@ def test_store_drops_only_a_torn_final_line(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         reopened = TimingStore(path)
     assert "torn final line" in caplog.text
-    assert [r["invocation"] for r in reopened.rows("p", NON_IDIOMATIC)] == [0, 1]
+    assert [r["invocation"] for r in reopened.rows("p")] == [0, 1]
     assert path.read_text() == intact
 
     first, second = intact.splitlines(keepends=True)
@@ -488,11 +540,11 @@ class _FakeChild:
         return {"timings_ns": grids, "repetitions": 1}, pid
 
 
-def _bench_cli(pairs_dir, store) -> None:
+def _bench_cli(pairs_dir, store, *extra: str) -> None:
     from idiobench.cli import main
 
-    args = ["bench", "--in", str(pairs_dir), "--timings", str(store)]
-    assert main(args + ["--n", "3", "--k", "4", "--warmup", "1", "--assume-equivalent"]) == 0
+    args = ["bench", "--in", str(pairs_dir), "--timings", str(store), "--n", "3", "--k", "4"]
+    assert main(args + ["--warmup", "1", "--assume-equivalent", *extra]) == 0
 
 
 def test_bench_resumes_after_a_torn_line(tmp_path, small_pair, monkeypatch, capsys):
@@ -516,7 +568,7 @@ def test_bench_resumes_after_a_torn_line(tmp_path, small_pair, monkeypatch, caps
     calls.clear()
     bench(resumed)
     assert len(calls) == 1
-    _assert_rows_of_an_invocation_share_a_pid(TimingStore(resumed), small_pair.pair_id)
+    _assert_one_line_per_invocation(resumed, 3)
     cfg = BenchConfig(warmup=1)
     for left, right in zip(
         load_matrices(TimingStore(whole), small_pair.pair_id, cfg),
@@ -551,10 +603,7 @@ def test_bench_resume_after_a_kill_at_any_byte(tmp_path, small_pair, whole_bench
     text = whole.path.read_bytes()
     cut = data.draw(st.integers(0, len(text)), label="cut")
     kept = text[:cut].count(b"\n")
-    lines = text.splitlines()
-    lost = [json.loads(line) for line in lines[kept:]]
-    lost_invocations = {rec["invocation"] for rec in lost if rec.get("kind") == "invocation"}
-    lost_calibration = any(rec.get("kind") == "calibration" for rec in lost)
+    lost = len(text.splitlines()) - kept
 
     store = tmp_path / f"cut-{cut}.jsonl"
     store.write_bytes(text[:cut])
@@ -563,13 +612,156 @@ def test_bench_resume_after_a_kill_at_any_byte(tmp_path, small_pair, whole_bench
         mp.setattr(bench_mod, "run_invocation", fake)
         _bench_cli(pairs_dir, store)
     calibrations = sum("for __i in range(" not in module for module in fake.calls)
-    assert calibrations == (1 if lost_calibration else 0)
-    # One child per invocation that lost at least one of its two rows.
-    assert len(fake.calls) - calibrations == len(lost_invocations)
+    # The count is read back from any surviving row, so calibration runs
+    # only when none survived; every lost row costs one timing child.
+    assert calibrations == (1 if kept == 0 else 0)
+    assert len(fake.calls) - calibrations == lost
     cfg = BenchConfig(warmup=1)
     for left, right in zip(
         load_matrices(whole, small_pair.pair_id, cfg),
         load_matrices(TimingStore(store), small_pair.pair_id, cfg),
     ):
         assert left.timings_ns == right.timings_ns
-    _assert_rows_of_an_invocation_share_a_pid(TimingStore(store), small_pair.pair_id)
+    _assert_one_line_per_invocation(store, 3)
+
+
+# ============================================================
+# Rows are reused only for the code and interpreter they timed
+# ============================================================
+
+
+def _with_slow_idiomatic_half(pair):
+    """``pair`` with a 2,000-iteration loop prepended to its idiomatic half."""
+    import dataclasses
+
+    slow = "for _ in range(2000):\n    pass\n"
+    return dataclasses.replace(pair, idiomatic_source=slow + pair.idiomatic_source)
+
+
+def _stats_cli(pairs_dir, store, out) -> int:
+    from idiobench.cli import main
+
+    args = ["stats", "--timings", str(store), "--in", str(pairs_dir), "--out", str(out)]
+    return main(args + ["--warmup", "1", "--bootstrap", "50"])
+
+
+def _rho(results_csv, pair_id) -> float:
+    import csv
+
+    with open(results_csv, newline="") as fh:
+        return float(next(r for r in csv.DictReader(fh) if r["pair_id"] == pair_id)["rho"])
+
+
+def test_bench_retimes_an_edited_pair(tmp_path, small_pair, capsys):
+    from idiobench.cli import main
+
+    pairs_dir, store = tmp_path / "pairs", tmp_path / "t.jsonl"
+    bench = ["bench", "--in", str(pairs_dir), "--timings", str(store)]
+    bench += ["--n", "3", "--k", "4", "--warmup", "1"]
+    bench += ["--min-iteration-ns", "100000", "--assume-equivalent"]
+    save_pair(small_pair, pairs_dir)
+    assert main(bench) == 0
+    assert _stats_cli(pairs_dir, store, tmp_path / "before.csv") == 0
+    before = _rho(tmp_path / "before.csv", small_pair.pair_id)
+    lines = len(store.read_text().splitlines())
+
+    save_pair(_with_slow_idiomatic_half(small_pair), pairs_dir)
+    assert main(bench) == 0
+    assert len(store.read_text().splitlines()) == lines + 3
+    assert _stats_cli(pairs_dir, store, tmp_path / "after.csv") == 0
+    after = _rho(tmp_path / "after.csv", small_pair.pair_id)
+    # The idiomatic half now runs 2,000 loop iterations more than the
+    # non-idiomatic one, so the idiom turns from faster to far slower.
+    assert after < before / 2
+
+
+def test_bench_under_a_second_interpreter_retimes_every_invocation(
+    tmp_path, small_pair, monkeypatch, capsys
+):
+    import idiobench.bench as bench_mod
+
+    other = pyenv_interpreter(12 if sys.version_info[:2] == (3, 10) else 10)
+    if other is None:
+        pytest.skip("no second CPython under pyenv")
+    fake = _FakeChild()
+    monkeypatch.setattr(bench_mod, "run_invocation", fake)
+    save_pair(small_pair, tmp_path / "pairs")
+    store = tmp_path / "t.jsonl"
+    _bench_cli(tmp_path / "pairs", store)
+    fake.calls.clear()
+    _bench_cli(tmp_path / "pairs", store, "--interpreter", other)
+    capsys.readouterr()
+    calibrations = sum("for __i in range(" not in module for module in fake.calls)
+    assert (calibrations, len(fake.calls) - calibrations) == (1, 3)
+    rows = TimingStore(store).rows(small_pair.pair_id)
+    assert {row["interpreter_id"] for row in rows} == {interpreter_id(other)}
+    assert len(store.read_text().splitlines()) == 2 * 3
+
+
+@pytest.fixture
+def two_pair_bench(tmp_path, small_pair, local_pair, monkeypatch):
+    """Two pairs benched at n=3 by a fake child; the first is then edited."""
+    import idiobench.bench as bench_mod
+
+    monkeypatch.setattr(bench_mod, "run_invocation", _FakeChild())
+    pairs_dir, store = tmp_path / "pairs", tmp_path / "t.jsonl"
+    for pair in (small_pair, local_pair):
+        save_pair(pair, pairs_dir)
+    _bench_cli(pairs_dir, store)
+    save_pair(_with_slow_idiomatic_half(small_pair), pairs_dir)
+    return pairs_dir, store
+
+
+def _assert_only_the_second_pair_reported(results_csv, local_pair):
+    import csv
+
+    with open(results_csv, newline="") as fh:
+        assert [r["pair_id"] for r in csv.DictReader(fh)] == [local_pair.pair_id]
+
+
+def test_stats_refuses_a_grid_mixed_from_two_runs(
+    tmp_path, small_pair, local_pair, two_pair_bench, caplog
+):
+    from idiobench.cli import main
+
+    pairs_dir, store = two_pair_bench
+    args = ["bench", "--in", str(pairs_dir), "--timings", str(store)]
+    assert main(args + ["--n", "2", "--k", "4", "--warmup", "1", "--assume-equivalent"]) == 0
+    caplog.clear()
+    assert _stats_cli(pairs_dir, store, tmp_path / "r.csv") == 1
+    assert f"pair {small_pair.pair_id} skipped" in caplog.text
+    assert "disagree on content_id" in caplog.text
+    _assert_only_the_second_pair_reported(tmp_path / "r.csv", local_pair)
+
+
+def test_stats_names_a_stale_pair(tmp_path, small_pair, local_pair, two_pair_bench, caplog):
+    pairs_dir, store = two_pair_bench
+    caplog.clear()
+    assert _stats_cli(pairs_dir, store, tmp_path / "r.csv") == 1
+    assert f"pair {small_pair.pair_id} skipped" in caplog.text and "stale" in caplog.text
+    _assert_only_the_second_pair_reported(tmp_path / "r.csv", local_pair)
+
+
+def test_store_payload_matches_both_grids(tmp_path, small_pair, local_pair, monkeypatch):
+    """The benchmark's payload time reads the store line by line."""
+    import importlib.util
+
+    import idiobench.bench as bench_mod
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_metrics", Path(__file__).resolve().parents[1] / "perfbench" / "metrics.py"
+    )
+    metrics = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, metrics)
+    spec.loader.exec_module(metrics)
+
+    monkeypatch.setattr(bench_mod, "run_invocation", _FakeChild())
+    for pair in (small_pair, local_pair):
+        save_pair(pair, tmp_path / "pairs")
+    store = tmp_path / "t.jsonl"
+    _bench_cli(tmp_path / "pairs", store)
+    expected_ns = 0.0
+    for pair in (small_pair, local_pair):
+        for matrix in load_matrices(TimingStore(store), pair.pair_id, BenchConfig(warmup=1)):
+            expected_ns += sum(map(sum, matrix.timings_ns)) * matrix.repetitions
+    assert metrics.store_payload_s(store) == pytest.approx(expected_ns / 1e9, rel=1e-12)

@@ -303,26 +303,34 @@ def test_diff_isolates_a_crashing_pair(pipeline_dir, tmp_path, capsys):
     assert server_pid() == before
 
 
+def _store_row(pair, invocation: int, non_idiomatic: float, idiomatic: float) -> dict:
+    """The row ``bench`` writes for one invocation, with constant grids of k=4."""
+    from idiobench.bench import content_id
+
+    return {
+        "pair_id": pair.pair_id,
+        "invocation": invocation,
+        "content_id": content_id(pair, "cpython-test"),
+        "timings_ns": [non_idiomatic] * 4 + [idiomatic] * 4,
+        "repetitions": 1,
+        "interpreter_id": "cpython-test",
+        "host_id": "host",
+        "pid": 1000 + invocation,
+    }
+
+
 def test_stats_skips_a_partial_grid(pipeline_dir, tmp_path, capsys):
-    from idiobench.bench import VARIANTS, TimingStore
+    from idiobench.bench import TimingStore
 
     pairs = load_pairs(pipeline_dir / "pairs")[:2]
     store = TimingStore(tmp_path / "timings.jsonl")
     for pair in pairs:
-        for variant in VARIANTS:
-            for invocation in range(3):
-                if pair is pairs[0] and invocation == 1:
-                    continue  # a hole in the first pair's grids
-                store.record_invocation(
-                    {
-                        "kind": "invocation",
-                        "pair_id": pair.pair_id,
-                        "variant": variant,
-                        "invocation": invocation,
-                        "timings_ns": [100.0 + invocation + len(variant)] * 4,
-                        "repetitions": 1,
-                    }
-                )
+        for invocation in range(3):
+            if pair is pairs[0] and invocation == 1:
+                continue  # a hole in the first pair's grids
+            store.record_invocation(
+                _store_row(pair, invocation, 112.0 + invocation, 109.0 + invocation)
+            )
     results = tmp_path / "results.csv"
     code, out = _run(
         capsys,
@@ -425,24 +433,15 @@ def _modules_after(*argv: str) -> tuple[dict[str, Any], str]:
 
 
 def test_post_bench_stages_import_no_scipy_and_report_no_numpy(pipeline_dir, tmp_path):
-    from idiobench.bench import VARIANTS, TimingStore
+    from idiobench.bench import TimingStore
 
     pairs = load_pairs(pipeline_dir / "pairs")
     store = TimingStore(tmp_path / "timings.jsonl")
     for index, pair in enumerate(pairs):
-        for variant in VARIANTS:
-            base = 100.0 + 10.0 * index if variant == VARIANTS[0] else 100.0
-            for invocation in range(3):
-                store.record_invocation(
-                    {
-                        "kind": "invocation",
-                        "pair_id": pair.pair_id,
-                        "variant": variant,
-                        "invocation": invocation,
-                        "timings_ns": [base + invocation] * 4,
-                        "repetitions": 1,
-                    }
-                )
+        for invocation in range(3):
+            store.record_invocation(
+                _store_row(pair, invocation, 100.0 + 10.0 * index + invocation, 100.0 + invocation)
+            )
     results = str(tmp_path / "results.csv")
 
     loaded, _ = _modules_after(
@@ -542,24 +541,17 @@ def test_an_exception_in_one_pair_cancels_the_queued_pairs(pipeline_dir, monkeyp
 def test_analyze_skips_a_row_with_an_unparsed_cell(pipeline_dir, tmp_path, capsys):
     import csv
 
-    from idiobench.bench import VARIANTS, TimingStore
+    from idiobench.bench import TimingStore
     from idiobench.catalog import vector_from_row
 
     pairs = load_pairs(pipeline_dir / "pairs")
     store = TimingStore(tmp_path / "timings.jsonl")
     for index, pair in enumerate(pairs):
-        for variant in VARIANTS:
-            for invocation in range(3):
-                store.record_invocation(
-                    {
-                        "kind": "invocation",
-                        "pair_id": pair.pair_id,
-                        "variant": variant,
-                        "invocation": invocation,
-                        "timings_ns": [100.0 + index * len(variant) + invocation] * 4,
-                        "repetitions": 1,
-                    }
-                )
+        for invocation in range(3):
+            non_idiomatic, idiomatic = 100.0 + index * 12, 100.0 + index * 9
+            store.record_invocation(
+                _store_row(pair, invocation, non_idiomatic + invocation, idiomatic + invocation)
+            )
     results = tmp_path / "results.csv"
     code, _ = _run(
         capsys,
