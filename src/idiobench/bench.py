@@ -15,8 +15,9 @@ variants, so the ratio of interest is unaffected.
 Raw results append to a JSON Lines store, one row per invocation keyed
 by (pair_id, invocation), holding both variants' durations and the
 repetition count. A row carries the ``content_id`` of the code and
-interpreter it timed, and a resumed run reuses only rows whose key
-matches, so an edited pair or another interpreter is timed again.
+interpreter it timed and the calibration floor and cap that chose its
+count, and a resumed run reuses only rows that match on all three, so an
+edited pair, another interpreter or another floor is timed again.
 """
 
 from __future__ import annotations
@@ -191,10 +192,12 @@ class TimingStore:
     """Append-only JSON Lines store, one row per timed invocation.
 
     A row is ``{pair_id, invocation, content_id, timings_ns, repetitions,
-    interpreter_id, host_id, pid}``, keyed by ``(pair_id, invocation)``;
-    a later row replaces an earlier one with its key. ``timings_ns`` holds
-    2k per-repetition durations, the non-idiomatic k first, and
-    ``repetitions`` the count both variants shared.
+    min_iteration_ns, max_repetitions, interpreter_id, host_id, pid}``,
+    keyed by ``(pair_id, invocation)``; a later row replaces an earlier one
+    with its key. ``timings_ns`` holds 2k per-repetition durations, the
+    non-idiomatic k first, ``repetitions`` the count both variants shared,
+    and ``min_iteration_ns`` and ``max_repetitions`` the floor and cap it
+    was calibrated for.
 
     Loading raises ``ValueError`` on a line without ``content_id``, as
     written before rows were keyed by content. A process killed
@@ -312,7 +315,8 @@ def measure(
         cfg: protocol parameters; defaults reproduce the reference
             protocol (50 invocations x 35 iterations, warmup 3).
         store: optional JSONL store. Only rows with this pair's
-            ``content_id`` on this interpreter and 2k durations count:
+            ``content_id`` on this interpreter, 2k durations, and
+            ``cfg``'s ``min_iteration_ns`` and ``max_repetitions`` count:
             the first gives the repetition count (calibration runs when
             none does), and an invocation whose row has that count is
             reused. Every other invocation is timed and its row replaced.
@@ -343,10 +347,13 @@ def measure(
     key = content_id(pair, interp_id)
     host = host_id()
     k = cfg.k_iterations
+    floor = {"min_iteration_ns": cfg.min_iteration_ns, "max_repetitions": cfg.max_repetitions}
     stored = [
         row
         for row in (store.rows(pair.pair_id) if store else [])
-        if row["content_id"] == key and len(row["timings_ns"]) == 2 * k
+        if row["content_id"] == key
+        and len(row["timings_ns"]) == 2 * k
+        and all(row.get(field) == value for field, value in floor.items())
     ]
     reps = stored[0]["repetitions"] if stored else calibrate(pair, cfg, interp)
     reusable = {row["invocation"]: row for row in stored if row["repetitions"] == reps}
@@ -379,6 +386,7 @@ def measure(
                 "content_id": key,
                 "timings_ns": [t / reps for t in timings],
                 "repetitions": reps,
+                **floor,
                 "interpreter_id": interp_id,
                 "host_id": host,
                 "pid": pid,
@@ -399,8 +407,9 @@ def load_matrices(
 
     The grid shape is taken from the stored rows themselves; ``cfg``
     supplies the warmup. Raises ``ValueError`` when the rows leave a
-    hole, disagree on ``content_id`` or ``repetitions`` (a grid mixed
-    from two runs), or timed other code than ``pair`` now holds.
+    hole, disagree on ``content_id``, ``repetitions``, ``min_iteration_ns``
+    or ``max_repetitions`` (a grid mixed from two runs), or timed other
+    code than ``pair`` now holds.
     """
     rows = store.rows(pair_id)
     if not rows:
@@ -408,8 +417,8 @@ def load_matrices(
     if [row["invocation"] for row in rows] != list(range(len(rows))):
         raise ValueError(f"store holds a partial grid for {pair_id}")
     first = rows[0]
-    for field in ("content_id", "repetitions"):
-        if any(row[field] != first[field] for row in rows):
+    for field in ("content_id", "repetitions", "min_iteration_ns", "max_repetitions"):
+        if any(row.get(field) != first.get(field) for row in rows):
             raise ValueError(f"rows of {pair_id} disagree on {field}; re-bench at the full --n")
     if pair is not None and first["content_id"] != content_id(pair, first["interpreter_id"]):
         raise ValueError(f"rows of {pair_id} are stale: the pair changed; re-run bench")

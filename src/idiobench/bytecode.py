@@ -4,9 +4,10 @@ Both payload variants are disassembled in a private child process by
 the target interpreter's own ``dis.get_instructions`` (so the analysis
 always reflects the interpreter being measured, not the orchestrator),
 which returns one record per instruction, and the two streams are
-compared as opcode multisets plus an aligned view. One driver serves
-every child job here: it disassembles the sources it is given and, if
-asked, runs the runtime probe, so ``diff_report`` needs one job per pair.
+compared as opcode multisets plus an aligned view. One function,
+``_job``, builds, runs and decodes every child job here: it disassembles
+the sources it is given and, given a pair, runs the runtime probe on it,
+so ``diff_report`` needs one job per pair.
 
 The classifier assigns one primary cause per pair:
 
@@ -36,7 +37,7 @@ from typing import Any
 from idiobench import child
 from idiobench.bench import ChildCrash, interpreter_id
 from idiobench.catalog import COMPREHENSIONS, IdiomKind
-from idiobench.synth import CodePair, _indent
+from idiobench.synth import CodePair, scoped
 
 #: Opcodes the reference interpreter uses as combined/cheap forms of
 #: longer generic sequences.
@@ -143,23 +144,29 @@ _PROBE_METHODS = (
     "__contains__",
 )
 
-# Input: {"mode", "sources"} to disassemble, plus "probe": {"setup",
-# "payload"} to run the probe. Output: {"dis": [[[opname, arg, argrepr],
-# ...] per source], "probe": [finding, ...] or null}, or {"error":
-# "compile", "detail"}. Nested code objects follow their parent in the
-# order ``dis.dis`` prints them. The disassembly runs no payload code: it
-# only compiles, or execs a def.
+# Input: {"scope", "sources"} to disassemble, plus "probe": {"setup",
+# "payload"} to run the probe. Under Local each source defines
+# ``__payload``, whose code is disassembled. Output: {"dis": [[[opname,
+# operand], ...] per source], "probe": [finding, ...] or null}, a finding
+# holding ``ProbeFinding``'s fields, or {"compile_error": detail}. An
+# operand is the argrepr, else the raw arg: 3.11 gives SWAP and COPY no
+# argrepr, and ``canonical`` reads their depth from it. Nested code
+# objects follow their parent in the order ``dis.dis`` prints them. The
+# disassembly runs no payload code: it only compiles, or execs a def.
 _DRIVER = """\
 import dis, types
 def compiled(source):
     code = compile(source, "<payload>", "exec")
-    if job["mode"] == "function":
+    if job["scope"] == "Local":
         ns = {}
         exec(code, ns)
         code = ns["__payload"].__code__
     return code
 def records(code):
-    out = [[i.opname, i.arg, i.argrepr] for i in dis.get_instructions(code)]
+    out = [
+        [i.opname, i.argrepr or ("" if i.arg is None else str(i.arg))]
+        for i in dis.get_instructions(code)
+    ]
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
             out += records(const)
@@ -181,7 +188,7 @@ def probe(setup, payload):
         if klass is not None:
             findings.append({
                 "name": name,
-                "type": tp.__qualname__,
+                "type_qualname": tp.__qualname__,
                 "method": method,
                 "definer_module": klass.__module__,
                 "definer": klass.__qualname__,
@@ -201,7 +208,7 @@ def probe(setup, payload):
 try:
     codes = [compiled(source) for source in job["sources"]]
 except SyntaxError as exc:
-    result = {"error": "compile", "detail": str(exc)}
+    result = {"compile_error": str(exc)}
 else:
     result = {
         "dis": [records(code) for code in codes],
@@ -227,37 +234,30 @@ def canonical(instructions: list[Instruction]) -> list[Instruction]:
     return out
 
 
-def _dis_job(sources: list[str], scope_mode: str) -> dict[str, Any]:
-    """The driver's input for disassembling ``sources``.
+def _job(
+    sources: list[str],
+    scope_mode: str,
+    interpreter: str | None,
+    probe: CodePair | None = None,
+) -> tuple[list[list[Instruction]], RuntimeProbe | None]:
+    """Disassemble ``sources`` and, given a ``probe`` pair, run the runtime
+    probe on it, in one private child of the target interpreter.
 
-    Local mode disassembles each payload compiled as a function body
-    (fast-local variable opcodes); Global mode compiles it at module
-    level.
+    Returns:
+        One canonical instruction stream per source, and the probe's
+        result, or None without ``probe``.
+
+    Raises:
+        CompileError: a source does not compile.
+        ChildCrash: the child failed; only the probe runs payload code,
+            so a job with a probe reports a failure as the probe's.
     """
-    for source in sources:
-        try:
-            compile(source, "<payload>", "exec")
-        except SyntaxError as exc:
-            raise CompileError(str(exc)) from exc
-    if scope_mode == "Local":
-        return {
-            "mode": "function",
-            "sources": [
-                "def __payload():\n" + _indent(source.rstrip("\n"), 1)
-                for source in sources
-            ],
-        }
-    if scope_mode == "Global":
-        return {"mode": "module", "sources": list(sources)}
-    raise ValueError(f"scope_mode must be Local or Global, got {scope_mode!r}")
-
-
-def _run_driver(job: dict[str, Any], interpreter: str | None) -> dict[str, Any]:
-    """Run ``_DRIVER`` on ``job`` in a private child.
-
-    Only the probe runs payload code, so a child that fails on a job
-    with a probe is reported as the probe's failure.
-    """
+    try:
+        job = {"scope": scope_mode, "sources": [scoped(s, scope_mode) for s in sources]}
+    except SyntaxError as exc:
+        raise CompileError(str(exc)) from exc
+    if probe is not None:
+        job["probe"] = {"setup": probe.setup_source, "payload": probe.non_idiomatic_source}
     try:
         result = child.run_job(
             _DRIVER,
@@ -266,22 +266,14 @@ def _run_driver(job: dict[str, Any], interpreter: str | None) -> dict[str, Any]:
             interpreter=child.resolve_interpreter(interpreter),
         )
     except child.ChildError as exc:
-        role = "probe" if "probe" in job else "disassembler"
+        role = "disassembler" if probe is None else "probe"
         raise ChildCrash(f"{role} child failed: {exc}") from exc
-    if result.get("error") == "compile":
-        raise CompileError(result["detail"])
-    return result
-
-
-def _instructions(records: list[list[Any]]) -> list[Instruction]:
-    # An operand is its argrepr, else its raw arg: 3.11 gives SWAP and
-    # COPY no argrepr, and ``canonical`` reads their depth from it.
-    return canonical(
-        [
-            Instruction(opname, argrepr or ("" if arg is None else str(arg)))
-            for opname, arg, argrepr in records
-        ]
-    )
+    if "compile_error" in result:
+        raise CompileError(result["compile_error"])
+    streams = [canonical([Instruction(*r) for r in records]) for records in result["dis"]]
+    if result["probe"] is None:
+        return streams, None
+    return streams, RuntimeProbe([ProbeFinding(**f) for f in result["probe"]])
 
 
 def disassemble_source(
@@ -293,23 +285,7 @@ def disassemble_source(
     (fast-local variable opcodes); Global mode compiles it at module
     level. Nested code objects (comprehensions) are included.
     """
-    result = _run_driver(_dis_job([source], scope_mode), interpreter)
-    return _instructions(result["dis"][0])
-
-
-def _analyze(
-    pair: CodePair, probe: bool, interpreter: str | None
-) -> tuple[list[Instruction], list[Instruction], RuntimeProbe | None]:
-    """Both halves' instruction streams and, with ``probe``, the runtime
-    probe, from one child job."""
-    if not pair.idiomatic_source.strip():
-        raise ValueError(f"pair {pair.pair_id} has no idiomatic source")
-    job = _dis_job([pair.non_idiomatic_source, pair.idiomatic_source], pair.scope_mode)
-    if probe:
-        job["probe"] = _probe_input(pair)
-    result = _run_driver(job, interpreter)
-    non_id, idio = (_instructions(records) for records in result["dis"])
-    return non_id, idio, _probe_result(result["probe"]) if probe else None
+    return _job([source], scope_mode, interpreter)[0][0]
 
 
 def diff(
@@ -339,7 +315,10 @@ def diff(
 
 
 def diff_pair(pair: CodePair, interpreter: str | None = None) -> BytecodeDiff:
-    non_id, idio, _ = _analyze(pair, False, interpreter)
+    if not pair.idiomatic_source.strip():
+        raise ValueError(f"pair {pair.pair_id} has no idiomatic source")
+    halves = [pair.non_idiomatic_source, pair.idiomatic_source]
+    (non_id, idio), _ = _job(halves, pair.scope_mode, interpreter)
     return diff(non_id, idio, pair_id=pair.pair_id, interpreter=interpreter)
 
 
@@ -370,25 +349,6 @@ class RuntimeProbe:
         return [f for f in self.findings if f.outside_builtins]
 
 
-def _probe_input(pair: CodePair) -> dict[str, str]:
-    return {"setup": pair.setup_source, "payload": pair.non_idiomatic_source}
-
-
-def _probe_result(raw: list[dict[str, str]]) -> RuntimeProbe:
-    return RuntimeProbe(
-        findings=[
-            ProbeFinding(
-                name=f["name"],
-                type_qualname=f["type"],
-                method=f["method"],
-                definer_module=f["definer_module"],
-                definer=f["definer"],
-            )
-            for f in raw
-        ]
-    )
-
-
 def runtime_probe(pair: CodePair, interpreter: str | None = None) -> RuntimeProbe:
     """Inspect the hot objects a pair binds for non-builtin dunders.
 
@@ -397,8 +357,7 @@ def runtime_probe(pair: CodePair, interpreter: str | None = None) -> RuntimeProb
     truth/length/comparison method, and likewise __next__ on its
     iterator type when the object is iterable.
     """
-    result = _run_driver({"sources": [], "probe": _probe_input(pair)}, interpreter)
-    return _probe_result(result["probe"])
+    return _job([], pair.scope_mode, interpreter, probe=pair)[1]
 
 
 # ============================================================
@@ -536,7 +495,12 @@ def diff_report(
     Both halves are disassembled, and with ``probe`` the runtime probe
     runs, in one child job.
     """
-    non_id, idio, probe_result = _analyze(pair, probe, interpreter)
+    if not pair.idiomatic_source.strip():
+        raise ValueError(f"pair {pair.pair_id} has no idiomatic source")
+    halves = [pair.non_idiomatic_source, pair.idiomatic_source]
+    (non_id, idio), probe_result = _job(
+        halves, pair.scope_mode, interpreter, pair if probe else None
+    )
     bdiff = diff(non_id, idio, pair_id=pair.pair_id, interpreter=interpreter)
     try:
         cause = classify_root_cause(bdiff, pair, probe_result)

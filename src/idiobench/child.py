@@ -18,12 +18,14 @@ Two kinds of child run here:
   needs a fresh interpreter per invocation.
 
 A job's driver is source run as ``__main__`` with its input bound to the
-global ``job``; it answers by binding the global ``result``. The runner
-JSON-encodes that value and sends it back over a private pipe, and
-``run_job`` returns it decoded, so no driver reads stdin or prints its
-answer. A job's stdin and stdout, as ``sys`` streams and as file
-descriptors 0 and 1, are ``/dev/null``, so nothing a payload reads or
-writes there can reach the protocol.
+global ``job``; it answers by binding the global ``result``. A job's
+answer is encoded one way on both paths: the runner writes the JSON of
+``result``, and nothing else, to a private pipe (the exec's stdout where
+there is no fork), and the child exits with the driver's exit status.
+``run_job`` checks that status and decodes the JSON, so no driver reads
+stdin or prints its answer. A job's stdin and stdout, as ``sys`` streams
+and as file descriptors 0 and 1, are ``/dev/null``, so nothing a payload
+reads or writes there can reach the protocol.
 """
 
 from __future__ import annotations
@@ -133,10 +135,11 @@ def exec_json(
 # Analysis jobs
 # ============================================================
 
-# Runs one job in the current process and writes {"returncode"} plus,
-# if the driver bound one, its "result" as one JSON line to a
-# descriptor. The modules the drivers import are imported here, once per
-# server.
+# Runs one job in the current process, writes the JSON of the "result"
+# the driver bound, if it exited normally and bound one, to a descriptor,
+# and returns the driver's exit status. A result that JSON cannot encode
+# fails the job like an exception in the driver. The modules the drivers
+# import are imported here, once per server.
 _RUNNER = """\
 import contextlib, dis, io, json, os, select, signal, sys, time, types
 
@@ -147,9 +150,11 @@ def run_job(job, result_fd):
     os.close(null)
     sys.stdin = sys.stdout = open(os.devnull, "r+")
     namespace = {"__name__": "__main__", "job": job["input"]}
+    data, code = b"", 0
     try:
         exec(compile(job["driver"], "<string>", "exec"), namespace)
-        code = 0
+        if "result" in namespace:
+            data = json.dumps(namespace["result"]).encode()
     except SystemExit as exc:
         code = exc.code
         if code is None:
@@ -163,17 +168,15 @@ def run_job(job, result_fd):
         sys.excepthook(type(exc), exc, exc.__traceback__)
         code = 1
     sys.stderr.flush()
-    answer = {"returncode": code}
-    if "result" in namespace:
-        answer["result"] = namespace["result"]
-    data = (json.dumps(answer) + "\\n").encode()
     while data:
         data = data[os.write(result_fd, data):]
+    return code
 """
 
 # Reads one job per stdin line, forks a child for it and answers with one
-# JSON line: {"exitcode", "result", "stderr"} or {"timeout", "stderr"}.
-# Exits on stdin EOF.
+# JSON line: {"exitcode", "result", "stderr"}, "result" being the text
+# the child wrote to its result pipe, or {"timeout", "stderr"}. Exits on
+# stdin EOF.
 _SERVER = _RUNNER + """
 def exitcode(status):
     # os.waitstatus_to_exitcode is new in 3.9.
@@ -193,8 +196,7 @@ def fork_job(job):
             os.close(err_r)
             os.dup2(err_w, 2)
             os.close(err_w)
-            run_job(job, result_w)
-            code = 0
+            code = run_job(job, result_w)
         finally:
             os._exit(code)
     os.close(result_w)
@@ -236,7 +238,7 @@ for line in sys.stdin:
 """
 
 _ONE_SHOT = _RUNNER + """
-run_job(json.load(sys.stdin), os.dup(1))
+sys.exit(run_job(json.load(sys.stdin), os.dup(1)))
 """
 
 
@@ -389,7 +391,8 @@ def run_job(driver: str, job: Any, *, timeout: float, interpreter: str) -> Any:
 
     Raises:
         subprocess.TimeoutExpired: the job outran ``timeout``.
-        ChildError: the job died, exited nonzero or bound no ``result``.
+        ChildError: the job died, exited nonzero, or bound no ``result``
+            or one that JSON cannot encode.
     """
     request = {"driver": driver, "input": job}
     if hasattr(os, "fork"):
@@ -401,22 +404,16 @@ def run_job(driver: str, job: Any, *, timeout: float, interpreter: str) -> Any:
             )
         if answer["exitcode"] != 0:
             raise ChildError(f"exited {answer['exitcode']}: {_tail(stderr)}")
-        try:
-            outcome = json.loads(answer["result"])
-        except ValueError as exc:
-            raise ChildError(f"exited without a result: {_tail(stderr)}") from exc
+        data = answer["result"]
     else:
-        stdout, stderr, _ = exec_child(
+        data, stderr, _ = exec_child(
             [interpreter, "-I", "-S", "-c", _ONE_SHOT],
             input=json.dumps(request),
             timeout=timeout,
         )
-        outcome = last_json_line(stdout)
-    if outcome["returncode"] != 0:
-        raise ChildError(f"exited {outcome['returncode']}: {_tail(stderr)}")
-    if "result" not in outcome:
+    if not data:
         raise ChildError(f"bound no result: {_tail(stderr)}")
-    return outcome["result"]
+    return json.loads(data)
 
 
 def imap(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:

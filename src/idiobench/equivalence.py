@@ -23,7 +23,7 @@ from typing import Any, Iterable
 
 from idiobench import child
 from idiobench.catalog import SIZES, IdiomKind
-from idiobench.synth import CodePair, _indent, setup_for_size
+from idiobench.synth import CodePair, scoped, setup_for_size
 
 #: Sizes every sized pair is re-checked at; chosen small so trials stay
 #: fast while still exercising empty, singleton, and multi-element data.
@@ -129,15 +129,7 @@ def _run_snapshots(
         SyntaxError: ``payload`` does not compile.
         ValueError: ``scope_mode`` is neither Local nor Global.
     """
-    compile(payload, "<payload>", "exec")
-    if scope_mode == "Local":
-        payload = (
-            "def __payload():\n"
-            + _indent(payload.rstrip("\n"), 1)
-            + "\n    return dict(locals())\n"
-        )
-    elif scope_mode != "Global":
-        raise ValueError(f"scope_mode must be Local or Global, got {scope_mode!r}")
+    payload = scoped(payload, scope_mode, tail="return dict(locals())")
     job = {"payload": payload, "setups": setups, "scope": scope_mode}
     try:
         return child.run_job(_DRIVER, job, timeout=timeout, interpreter=interpreter)

@@ -387,6 +387,26 @@ def _indent(text: str, levels: int) -> str:
     return "\n".join(pad + line if line.strip() else line for line in text.splitlines())
 
 
+def scoped(payload: str, scope_mode: str, name: str = "__payload", tail: str = "") -> str:
+    """``payload`` as source that runs it under ``scope_mode``.
+
+    Global returns the payload as is, to run at module level. Local
+    returns ``def <name>():`` with the payload as its body, then ``tail``,
+    so that the payload's names resolve as fast locals when ``<name>()``
+    is called.
+
+    Raises:
+        SyntaxError: ``payload`` does not compile.
+        ValueError: ``scope_mode`` is neither Local nor Global.
+    """
+    compile(payload, "<payload>", "exec")
+    if scope_mode == "Global":
+        return payload
+    if scope_mode != "Local":
+        raise ValueError(f"scope_mode must be Local or Global, got {scope_mode!r}")
+    return f"def {name}():\n" + _indent(payload.rstrip("\n") + "\n" + tail, 1) + "\n"
+
+
 def _repeat(payload: str, reps: str, levels: int) -> str:
     """A loop at ``levels`` that runs ``reps`` repetitions of ``payload``."""
     return (

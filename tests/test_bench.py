@@ -192,16 +192,21 @@ def test_protocol_runs_on_each_local_interpreter(minor, small_pair, local_pair, 
 # ============================================================
 
 
-def _record(pair_id="p", invocation=0, k=3, content="c0ffee", repetitions=4):
+def _record(pair_id="p", invocation=0, k=3, content="c0ffee", repetitions=4, **fields):
+    """A store row calibrated for ``FAST_CFG``'s floor and cap, unless
+    ``fields`` say otherwise."""
     return {
         "pair_id": pair_id,
         "invocation": invocation,
         "content_id": content,
         "timings_ns": [100.0 + invocation] * k + [200.0 + invocation] * k,
         "repetitions": repetitions,
+        "min_iteration_ns": FAST_CFG.min_iteration_ns,
+        "max_repetitions": FAST_CFG.max_repetitions,
         "interpreter_id": "cpython-test",
         "host_id": "host",
         "pid": 1234 + invocation,
+        **fields,
     }
 
 
@@ -347,6 +352,39 @@ def test_measure_reuses_stored_calibration(tmp_path, small_pair, monkeypatch):
     assert rows[1] == kept
 
 
+@pytest.mark.parametrize(
+    "stored",
+    [
+        {"min_iteration_ns": 100_000},
+        {"max_repetitions": 64},
+        {"min_iteration_ns": None, "max_repetitions": None},
+    ],
+    ids=["another-floor", "another-cap", "no-floor-fields"],
+)
+def test_measure_reuses_rows_only_at_the_runs_floor_and_cap(
+    tmp_path, small_pair, monkeypatch, stored
+):
+    import idiobench.bench as bench_mod
+
+    store = TimingStore(tmp_path / "t.jsonl")
+    key = content_id(small_pair, interpreter_id(resolve_interpreter()))
+    n, k = FAST_CFG.n_invocations, FAST_CFG.k_iterations
+    for invocation in range(n):
+        row = _record(small_pair.pair_id, invocation, k=k, content=key, repetitions=7)
+        # A field stored as None is left out of the row.
+        row.update(stored)
+        store.record_invocation({f: v for f, v in row.items() if v is not None})
+    fake = _FakeChild()
+    monkeypatch.setattr(bench_mod, "run_invocation", fake)
+    measure(small_pair, FAST_CFG, store, assume_equivalent=True)
+    calibrations = sum("for __i in range(" not in module for module in fake.calls)
+    assert (calibrations, len(fake.calls) - calibrations) == (1, n)
+    for row in TimingStore(store.path).rows(small_pair.pair_id):
+        assert row["repetitions"] == 1
+        assert row["min_iteration_ns"] == FAST_CFG.min_iteration_ns
+        assert row["max_repetitions"] == FAST_CFG.max_repetitions
+
+
 def test_measure_gates_on_divergence(tmp_path, small_pair):
     import dataclasses
 
@@ -461,8 +499,14 @@ def test_load_matrices_rejects_partial_grid(tmp_path):
 
 @pytest.mark.parametrize(
     "odd_one",
-    [{"content": "beef"}, {"repetitions": 8}, {"k": 4}],
-    ids=["content_id", "repetitions", "k"],
+    [
+        {"content": "beef"},
+        {"repetitions": 8},
+        {"k": 4},
+        {"min_iteration_ns": 5_000_000},
+        {"max_repetitions": 64},
+    ],
+    ids=["content_id", "repetitions", "k", "min_iteration_ns", "max_repetitions"],
 )
 def test_load_matrices_rejects_a_mixed_grid(tmp_path, odd_one):
     store = TimingStore(tmp_path / "t.jsonl")
@@ -673,6 +717,31 @@ def test_bench_retimes_an_edited_pair(tmp_path, small_pair, capsys):
     # The idiomatic half now runs 2,000 loop iterations more than the
     # non-idiomatic one, so the idiom turns from faster to far slower.
     assert after < before / 2
+
+
+def test_bench_at_a_higher_floor_recalibrates(tmp_path, small_pair, capsys):
+    from idiobench.cli import main
+
+    pairs_dir, store = tmp_path / "pairs", tmp_path / "t.jsonl"
+    save_pair(small_pair, pairs_dir)
+    bench = ["bench", "--in", str(pairs_dir), "--timings", str(store)]
+    bench += ["--n", "2", "--k", "4", "--warmup", "1", "--assume-equivalent"]
+
+    def counts() -> list[int]:
+        return [row["repetitions"] for row in TimingStore(store).rows(small_pair.pair_id)]
+
+    assert main(bench + ["--min-iteration-ns", "100000"]) == 0
+    low = counts()
+    assert main(bench + ["--min-iteration-ns", "5000000"]) == 0
+    high = counts()
+    capsys.readouterr()
+    # A floor 50 times higher needs a count far above the stored one;
+    # rows calibrated for the lower floor must not be reused.
+    assert len(low) == len(high) == 2
+    assert len(set(low)) == len(set(high)) == 1
+    assert high[0] > 10 * low[0]
+    rows = TimingStore(store).rows(small_pair.pair_id)
+    assert {row["min_iteration_ns"] for row in rows} == {5_000_000}
 
 
 def test_bench_under_a_second_interpreter_retimes_every_invocation(

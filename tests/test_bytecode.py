@@ -435,9 +435,8 @@ def _reference_disassembly(source: str) -> list[Instruction]:
     """A Local-mode payload disassembled in this process, which runs the
     same interpreter as the analysis children."""
     import dis
+    import textwrap
     import types
-
-    from idiobench.synth import _indent
 
     def walk(code: types.CodeType) -> list[Instruction]:
         out = [
@@ -450,7 +449,7 @@ def _reference_disassembly(source: str) -> list[Instruction]:
         return out
 
     ns: dict = {}
-    source = "def __payload():\n" + _indent(source.rstrip("\n"), 1)
+    source = "def __payload():\n" + textwrap.indent(source, "    ")
     exec(compile(source, "<payload>", "exec"), ns)
     return canonical(walk(ns["__payload"].__code__))
 

@@ -18,6 +18,8 @@ from idiobench.catalog import IdiomKind
 from idiobench.equivalence import check, mutants
 from idiobench.synth import CodePair, save_pair
 
+from conftest import pyenv_interpreter
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 PARENT_PID = "import os; result = os.getppid()"
 
@@ -69,7 +71,10 @@ def test_timeout_kills_the_job_not_the_server():
     assert _job(PARENT_PID) == server
 
 
-def test_failed_jobs_raise_with_stderr_tail():
+@pytest.mark.parametrize("path", ["fork", "exec"])
+def test_failed_jobs_raise_with_stderr_tail(path, monkeypatch):
+    if path == "exec":
+        monkeypatch.delattr(os, "fork")
     with pytest.raises(child.ChildError, match="(?s)exited 1:.*ValueError: boom"):
         _job("raise ValueError('boom')")
     with pytest.raises(child.ChildError, match="exited 3"):
@@ -78,6 +83,32 @@ def test_failed_jobs_raise_with_stderr_tail():
         _job("import os; os.kill(os.getpid(), 9)")
     with pytest.raises(child.ChildError, match="bound no result"):
         _job("print('not json')")
+    with pytest.raises(child.ChildError, match="(?s)exited 1:.*not JSON serializable"):
+        _job("result = object()")
+
+
+@pytest.mark.parametrize("minor", range(8, 14), ids=lambda minor: f"3.{minor}")
+def test_job_protocol_on_each_local_interpreter(minor, monkeypatch):
+    """The runner decides a job's exit status inside the target interpreter."""
+    interp = pyenv_interpreter(minor)
+    if interp is None:
+        pytest.skip(f"no CPython 3.{minor} under pyenv")
+
+    def job(driver):
+        return child.run_job(driver, [minor], timeout=30, interpreter=interp)
+
+    for path in ("fork", "exec"):
+        if path == "exec":
+            monkeypatch.delattr(os, "fork")
+        assert job("import sys; result = [sys.version_info[1], job]") == [minor, [minor]]
+        with pytest.raises(child.ChildError, match="(?s)exited 1:.*ValueError: boom"):
+            job("raise ValueError('boom')")
+        with pytest.raises(child.ChildError, match="exited 3"):
+            job("import sys; result = 1; sys.exit(3)")
+        with pytest.raises(child.ChildError, match="bound no result"):
+            job("print('not json')")
+        with pytest.raises(child.ChildError, match="(?s)exited 1:.*not JSON serializable"):
+            job("result = object()")
 
 
 def test_killed_server_is_replaced():

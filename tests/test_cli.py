@@ -313,6 +313,8 @@ def _store_row(pair, invocation: int, non_idiomatic: float, idiomatic: float) ->
         "content_id": content_id(pair, "cpython-test"),
         "timings_ns": [non_idiomatic] * 4 + [idiomatic] * 4,
         "repetitions": 1,
+        "min_iteration_ns": 1_000_000,
+        "max_repetitions": 1_048_576,
         "interpreter_id": "cpython-test",
         "host_id": "host",
         "pid": 1000 + invocation,

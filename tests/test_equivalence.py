@@ -129,6 +129,24 @@ def test_stdout_channel_diverges():
     assert "stdout" in report.witness.detail
 
 
+@pytest.mark.parametrize("scope", ["Global", "Local"])
+def test_a_payload_that_exits_is_an_error(scope):
+    """An exiting payload leaves no snapshot to compare, so the pair
+    cannot pass as Equivalent on no trials."""
+    pair = CodePair(
+        pair_id="unit-exits",
+        idiom=IdiomKind.TRUTH_VALUE_TEST,
+        features=None,
+        setup_source="x_0 = 3\n",
+        non_idiomatic_source="if x_0 != 0:\n    r_0 = 1\n",
+        idiomatic_source="if x_0:\n    r_0 = 2\n    raise SystemExit\n",
+        scope_mode=scope,
+    )
+    report = check(pair)
+    assert report.status == "Error"
+    assert "bound no result" in report.trials[0].detail["reason"]
+
+
 def test_error_status_on_broken_setup():
     pair = CodePair(
         pair_id="unit-broken",

@@ -16,6 +16,7 @@ from idiobench.synth import (
     CodePair,
     load_pairs,
     save_pair,
+    scoped,
     setup_for_size,
     star_list_len,
     synthesize,
@@ -243,6 +244,44 @@ def test_pair_json_is_sorted_and_stable(tmp_path):
     assert path.read_text() == first
     keys = list(json.loads(first))
     assert keys == sorted(keys)
+
+
+# ============================================================
+# Scope wrapper
+# ============================================================
+
+
+def test_scoped_local_wraps_the_payload_in_a_function():
+    source = scoped("x_0 = 1\nif x_0:\n    r_0 = 2\n", "Local")
+    assert source == "def __payload():\n    x_0 = 1\n    if x_0:\n        r_0 = 2\n"
+    ns: dict = {}
+    exec(source, ns)
+    assert ns["__payload"]() is None
+    assert "r_0" in ns["__payload"].__code__.co_varnames
+
+
+def test_scoped_local_ends_in_the_tail():
+    source = scoped("r_0 = 2\n\n", "Local", name="f", tail="return dict(locals())")
+    assert source == "def f():\n    r_0 = 2\n    return dict(locals())\n"
+    ns: dict = {}
+    exec(source, ns)
+    assert ns["f"]() == {"r_0": 2}
+
+
+def test_scoped_global_returns_the_payload_unchanged():
+    payload = "r_0 = 2\n\n"
+    assert scoped(payload, "Global", tail="return 1") == payload
+
+
+def test_scoped_rejects_an_unknown_scope():
+    with pytest.raises(ValueError, match="scope_mode must be Local or Global"):
+        scoped("r_0 = 2\n", "Module")
+
+
+@pytest.mark.parametrize("scope", ["Global", "Local", "Module"])
+def test_scoped_rejects_a_bad_payload(scope):
+    with pytest.raises(SyntaxError):
+        scoped("def (\n", scope)
 
 
 # ============================================================
