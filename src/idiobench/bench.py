@@ -17,7 +17,9 @@ by (pair_id, invocation), holding both variants' durations and the
 repetition count. A row carries the ``content_id`` of the code and
 interpreter it timed and the calibration floor and cap that chose its
 count, and a resumed run reuses only rows that match on all three, so an
-edited pair, another interpreter or another floor is timed again.
+edited pair, another interpreter or another floor is timed again. A row
+also records how its pair was admitted, so a pair that is reused whole
+from rows written behind a passing gate is not gated again.
 """
 
 from __future__ import annotations
@@ -192,12 +194,14 @@ class TimingStore:
     """Append-only JSON Lines store, one row per timed invocation.
 
     A row is ``{pair_id, invocation, content_id, timings_ns, repetitions,
-    min_iteration_ns, max_repetitions, interpreter_id, host_id, pid}``,
-    keyed by ``(pair_id, invocation)``; a later row replaces an earlier one
-    with its key. ``timings_ns`` holds 2k per-repetition durations, the
-    non-idiomatic k first, ``repetitions`` the count both variants shared,
-    and ``min_iteration_ns`` and ``max_repetitions`` the floor and cap it
-    was calibrated for.
+    min_iteration_ns, max_repetitions, gate, interpreter_id, host_id,
+    pid}``, keyed by ``(pair_id, invocation)``; a later row replaces an
+    earlier one with its key. ``timings_ns`` holds 2k per-repetition
+    durations, the non-idiomatic k first, ``repetitions`` the count both
+    variants shared, ``min_iteration_ns`` and ``max_repetitions`` the
+    floor and cap it was calibrated for, and ``gate`` how the pair was
+    admitted: ``"Equivalent"`` behind a passing gate, ``"assumed"``
+    under ``assume_equivalent``.
 
     Loading raises ``ValueError`` on a line without ``content_id``, as
     written before rows were keyed by content. A process killed
@@ -320,9 +324,13 @@ def measure(
             the first gives the repetition count (calibration runs when
             none does), and an invocation whose row has that count is
             reused. Every other invocation is timed and its row replaced.
-        assume_equivalent: skip the behavioral gate. Without it the
-            pair is differentially checked first and a Divergent or
-            Error outcome aborts the measurement.
+        assume_equivalent: skip the behavioral gate; new rows record
+            ``gate: "assumed"``. Without it the pair is differentially
+            checked before its first child, and a Divergent or Error
+            outcome aborts the measurement; new rows record ``gate:
+            "Equivalent"``. The check is skipped only when all n
+            invocations are reused from rows that say ``"Equivalent"``,
+            since those rows hold the verdict for the same ``content_id``.
 
     Returns:
         (non-idiomatic matrix, idiomatic matrix), each n x k of
@@ -333,16 +341,6 @@ def measure(
     if not pair.idiomatic_source.strip():
         raise MissingIdiomatic(f"pair {pair.pair_id} has no idiomatic source")
     interp = resolve_interpreter(cfg)
-    if not assume_equivalent:
-        from idiobench.equivalence import check
-
-        report = check(pair, interpreter=interp)
-        if report.status != "Equivalent":
-            raise EquivalenceGate(
-                f"pair {pair.pair_id} is {report.status}; "
-                "pass assume_equivalent=True to override"
-            )
-
     interp_id = interpreter_id(interp)
     key = content_id(pair, interp_id)
     host = host_id()
@@ -355,12 +353,24 @@ def measure(
         and len(row["timings_ns"]) == 2 * k
         and all(row.get(field) == value for field, value in floor.items())
     ]
-    reps = stored[0]["repetitions"] if stored else calibrate(pair, cfg, interp)
+    reps = stored[0]["repetitions"] if stored else None
     reusable = {row["invocation"]: row for row in stored if row["repetitions"] == reps}
+    reused = [reusable.get(invocation) for invocation in range(cfg.n_invocations)]
+    gate = "assumed" if assume_equivalent else "Equivalent"
+    if not assume_equivalent and not all(row and row.get("gate") == gate for row in reused):
+        from idiobench.equivalence import check
+
+        report = check(pair, interpreter=interp)
+        if report.status != "Equivalent":
+            raise EquivalenceGate(
+                f"pair {pair.pair_id} is {report.status}; "
+                "pass assume_equivalent=True to override"
+            )
+    if reps is None:
+        reps = calibrate(pair, cfg, interp)
 
     rows = []
-    for invocation in range(cfg.n_invocations):
-        row = reusable.get(invocation)
+    for invocation, row in enumerate(reused):
         if row is None:
             module = wrap_pair(
                 pair.non_idiomatic_source,
@@ -387,6 +397,7 @@ def measure(
                 "timings_ns": [t / reps for t in timings],
                 "repetitions": reps,
                 **floor,
+                "gate": gate,
                 "interpreter_id": interp_id,
                 "host_id": host,
                 "pid": pid,

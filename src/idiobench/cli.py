@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--assume-equivalent",
         action="store_true",
-        help="skip the behavioral gate before measuring",
+        help="skip the behavioral gate before measuring; the rows it writes "
+        "do not vouch for a later gated run",
     )
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -8,6 +8,9 @@ iterations within each drawn invocation second, reflecting that
 iterations within one process are not independent of each other.
 Classification is by CI position relative to 1, and interval width is
 reported relative to the point estimate (RCIW).
+
+numpy is imported by the functions that use it, so a caller that only
+summarizes a distribution does not load it.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Sequence, TextIO
 
 from idiobench.catalog import FeatureVector, IdiomKind, feature_cell, feature_space
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SPEEDUP = "Speedup"
 SLOWDOWN = "Slowdown"
@@ -56,6 +60,8 @@ class PerfChange:
 
 
 def _measured(matrix: Any) -> np.ndarray:
+    import numpy as np
+
     if hasattr(matrix, "measured"):
         return matrix.measured()
     data = np.asarray(matrix, dtype=float)
@@ -95,6 +101,8 @@ def compute_rho(non_id: Any, idio: Any) -> float:
 
 def _resampled_sums(data: np.ndarray, B: int, rng: np.random.Generator) -> np.ndarray:
     """Hierarchical resample: invocations first, iterations within each."""
+    import numpy as np
+
     n, m = data.shape
     invocations = rng.integers(0, n, size=(B, n))
     rows = data[invocations]
@@ -134,6 +142,8 @@ def bootstrap_ci(
         (ci_low, ci_high, rciw) with rciw = (ci_high - ci_low) / rho
         anchored at the point estimate.
     """
+    import numpy as np
+
     if B < 1:
         raise ValueError("B must be at least 1")
     if not 0 < confidence < 1:
@@ -203,27 +213,41 @@ class DistributionSummary:
         return self.p75 - self.p25
 
 
+def _percentile(ordered: list[float], fraction: float) -> float:
+    """``np.percentile(ordered, 100 * fraction)`` of sorted data, bit for bit.
+
+    numpy's default (linear) method: interpolate between the two order
+    statistics around ``(n - 1) * fraction``, from the nearer end.
+    """
+    position = (len(ordered) - 1) * fraction
+    below = math.floor(position)
+    a, b = ordered[below], ordered[min(below + 1, len(ordered) - 1)]
+    gamma = position - below
+    if gamma >= 0.5:
+        return b - (b - a) * (1 - gamma)
+    return a + (b - a) * gamma
+
+
 def distribution_summary(values: Sequence[float]) -> DistributionSummary:
     """Box statistics with 1.5 IQR fences and non-outlier whiskers."""
-    data = np.asarray(list(values), dtype=float)
-    if data.size == 0:
+    data = sorted(float(v) for v in values)
+    if not data:
         raise EmptyInput("distribution_summary needs at least one value")
-    p25, median, p75 = (float(np.percentile(data, q)) for q in (25, 50, 75))
+    p25, median, p75 = (_percentile(data, q) for q in (0.25, 0.5, 0.75))
     iqr = p75 - p25
     fence_low = p25 - 1.5 * iqr
     fence_high = p75 + 1.5 * iqr
-    inside = data[(data >= fence_low) & (data <= fence_high)]
-    outliers = data[(data < fence_low) | (data > fence_high)]
+    inside = [v for v in data if fence_low <= v <= fence_high]
     return DistributionSummary(
-        n=int(data.size),
-        minimum=float(data.min()),
+        n=len(data),
+        minimum=data[0],
         p25=p25,
         median=median,
         p75=p75,
-        maximum=float(data.max()),
-        whisker_low=float(inside.min()),
-        whisker_high=float(inside.max()),
-        outliers=tuple(float(v) for v in np.sort(outliers)),
+        maximum=data[-1],
+        whisker_low=inside[0],
+        whisker_high=inside[-1],
+        outliers=tuple(v for v in data if v < fence_low or v > fence_high),
     )
 
 
@@ -257,6 +281,8 @@ def _level_orders(idiom: IdiomKind) -> dict[str, list[Any]]:
 def _encode_rows(
     rows: Sequence[tuple[FeatureVector, float]], idiom: IdiomKind
 ) -> tuple[list[str], np.ndarray]:
+    import numpy as np
+
     orders = _level_orders(idiom)
     names: list[str] = []
     columns: dict[str, list[float]] = {}
@@ -282,6 +308,8 @@ def _encode_rows(
 
 
 def _vif(matrix: np.ndarray, col: int) -> float:
+    import numpy as np
+
     y = matrix[:, col]
     others = np.delete(matrix, col, axis=1)
     design = np.column_stack([np.ones(len(y)), others])
@@ -302,6 +330,8 @@ def _average_ranks(values: Any) -> np.ndarray:
     Matches ``scipy.stats.rankdata(values)`` (method "average") on 1-D
     input without NaNs.
     """
+    import numpy as np
+
     data = np.asarray(values)
     order = np.argsort(data, kind="mergesort")
     ordered = data[order]
@@ -315,6 +345,8 @@ def _average_ranks(values: Any) -> np.ndarray:
 def _spearman_with_permutation(
     x: np.ndarray, y_ranks: np.ndarray, perm_ranks: np.ndarray
 ) -> tuple[float, float]:
+    import numpy as np
+
     x_ranks = _average_ranks(x)
     xc = x_ranks - x_ranks.mean()
     x_scale = float(np.sqrt((xc**2).sum()))
@@ -354,6 +386,8 @@ def feature_correlation(
         CorrelationReport with per-feature Spearman rho, permutation p,
         and direction sign; constant features are skipped with a note.
     """
+    import numpy as np
+
     if len(rows) < 10:
         raise ValueError("feature_correlation needs at least 10 rows")
     idioms = {vector.idiom for vector, _ in rows}

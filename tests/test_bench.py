@@ -584,11 +584,12 @@ class _FakeChild:
         return {"timings_ns": grids, "repetitions": 1}, pid
 
 
-def _bench_cli(pairs_dir, store, *extra: str) -> None:
+def _bench_cli(pairs_dir, store, *extra: str, gated: bool = False) -> None:
     from idiobench.cli import main
 
     args = ["bench", "--in", str(pairs_dir), "--timings", str(store), "--n", "3", "--k", "4"]
-    assert main(args + ["--warmup", "1", "--assume-equivalent", *extra]) == 0
+    gate = [] if gated else ["--assume-equivalent"]
+    assert main(args + ["--warmup", "1", *gate, *extra]) == 0
 
 
 def test_bench_resumes_after_a_torn_line(tmp_path, small_pair, monkeypatch, capsys):
@@ -667,6 +668,108 @@ def test_bench_resume_after_a_kill_at_any_byte(tmp_path, small_pair, whole_bench
     ):
         assert left.timings_ns == right.timings_ns
     _assert_one_line_per_invocation(store, 3)
+
+
+# ============================================================
+# The gate runs only for a pair with an invocation to time
+# ============================================================
+
+
+@pytest.fixture
+def gate_log(monkeypatch):
+    """The real gate and a fake timing child, logged in call order."""
+    import idiobench.bench as bench_mod
+    import idiobench.equivalence as equivalence
+
+    log: list[str] = []
+    fake, real_check = _FakeChild(), equivalence.check
+
+    def child(*args):
+        log.append("child")
+        return fake(*args)
+
+    def check(*args, **kwargs):
+        log.append("gate")
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(bench_mod, "run_invocation", child)
+    monkeypatch.setattr(equivalence, "check", check)
+    return log
+
+
+def _gates(store, pair_id) -> set:
+    return {row.get("gate") for row in TimingStore(store).rows(pair_id)}
+
+
+def test_a_complete_gated_store_is_not_gated_again(tmp_path, small_pair, gate_log, capsys):
+    pairs_dir, store = tmp_path / "pairs", tmp_path / "t.jsonl"
+    save_pair(small_pair, pairs_dir)
+    _bench_cli(pairs_dir, store, gated=True)
+    # Gated once, before the calibration child and the three timing children.
+    assert gate_log == ["gate"] + ["child"] * 4
+    assert _gates(store, small_pair.pair_id) == {"Equivalent"}
+    text = store.read_bytes()
+    gate_log.clear()
+    _bench_cli(pairs_dir, store, gated=True)
+    assert gate_log == []
+    assert store.read_bytes() == text
+
+
+def test_rows_written_under_assume_equivalent_do_not_vouch_for_a_gated_run(
+    tmp_path, small_pair, gate_log, capsys
+):
+    import dataclasses
+
+    from idiobench.cli import main
+
+    broken = dataclasses.replace(
+        small_pair, idiomatic_source=small_pair.idiomatic_source + "r_9 = 1\n"
+    )
+    pairs_dir, store = tmp_path / "pairs", tmp_path / "t.jsonl"
+    save_pair(broken, pairs_dir)
+    _bench_cli(pairs_dir, store)
+    assert gate_log == ["child"] * 4
+    assert _gates(store, broken.pair_id) == {"assumed"}
+    text = store.read_bytes()
+
+    cfg = BenchConfig(n_invocations=3, k_iterations=4, warmup=1)
+    with pytest.raises(EquivalenceGate):
+        measure(broken, cfg, TimingStore(store))
+    capsys.readouterr()
+    args = ["bench", "--in", str(pairs_dir), "--timings", str(store)]
+    assert main(args + ["--n", "3", "--k", "4", "--warmup", "1"]) == 1
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {"measured": 0, "failed": 1}
+    assert gate_log[4:] == ["gate", "gate"]
+    assert store.read_bytes() == text
+
+
+def test_a_store_missing_a_row_is_gated_before_that_row_is_timed(
+    tmp_path, small_pair, gate_log, capsys
+):
+    pairs_dir, store = tmp_path / "pairs", tmp_path / "t.jsonl"
+    save_pair(small_pair, pairs_dir)
+    _bench_cli(pairs_dir, store, gated=True)
+    lines = store.read_text().splitlines(keepends=True)
+    store.write_text("".join(lines[:-1]))
+    gate_log.clear()
+    _bench_cli(pairs_dir, store, gated=True)
+    assert gate_log == ["gate", "child"]
+    assert _gates(store, small_pair.pair_id) == {"Equivalent"}
+
+
+def test_a_row_without_a_gate_field_is_gated(tmp_path, small_pair, gate_log, capsys):
+    pairs_dir, store = tmp_path / "pairs", tmp_path / "t.jsonl"
+    save_pair(small_pair, pairs_dir)
+    _bench_cli(pairs_dir, store, gated=True)
+    rows = [json.loads(line) for line in store.read_text().splitlines()]
+    del rows[1]["gate"]
+    store.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    text = store.read_bytes()
+    gate_log.clear()
+    _bench_cli(pairs_dir, store, gated=True)
+    # The gate passes and every row is reused: no child, no new row.
+    assert gate_log == ["gate"]
+    assert store.read_bytes() == text
 
 
 # ============================================================

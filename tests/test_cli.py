@@ -460,6 +460,14 @@ def test_post_bench_stages_import_no_scipy_and_report_no_numpy(pipeline_dir, tmp
     assert loaded["code"] == 0 and not loaded["scipy"]
     assert "feature_correlation" in json.loads(out)["idioms"]["truth-value-test"]
 
+    # Below the 10-row correlation minimum, analyze only summarizes.
+    few = tmp_path / "few.csv"
+    with open(results, encoding="utf-8", newline="") as fh:
+        few.write_text("".join(fh.readlines()[:10]), encoding="utf-8")
+    loaded, out = _modules_after("analyze", "--results", str(few))
+    assert loaded == {"code": 0, "numpy": False, "scipy": False}
+    assert json.loads(out)["idioms"]["truth-value-test"]["pairs"] == 9
+
     loaded, out = _modules_after("report", "--results", results)
     assert loaded == {"code": 0, "numpy": False, "scipy": False}
     assert "| truth-value-test | 10 |" in out

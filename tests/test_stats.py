@@ -256,6 +256,55 @@ def test_distribution_median_within_whiskers(values):
     assert summary.median not in summary.outliers or summary.iqr == 0
 
 
+def _numpy_summary(values) -> DistributionSummary:
+    """The box statistics as numpy computes them, for reference."""
+    data = np.asarray(values, dtype=float)
+    p25, median, p75 = (float(np.percentile(data, q)) for q in (25, 50, 75))
+    iqr = p75 - p25
+    fence_low, fence_high = p25 - 1.5 * iqr, p75 + 1.5 * iqr
+    inside = data[(data >= fence_low) & (data <= fence_high)]
+    outliers = data[(data < fence_low) | (data > fence_high)]
+    return DistributionSummary(
+        n=int(data.size),
+        minimum=float(data.min()),
+        p25=p25,
+        median=median,
+        p75=p75,
+        maximum=float(data.max()),
+        whisker_low=float(inside.min()),
+        whisker_high=float(inside.max()),
+        outliers=tuple(float(v) for v in np.sort(outliers)),
+    )
+
+
+# Adding 0.0 turns -0.0 into 0.0. The two compare equal, so which one a
+# sort puts first is arbitrary, here and in numpy alike; a rho is never 0.
+_finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).map(lambda v: v + 0.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_finite, min_size=1, max_size=60),
+        # Ties, and a far value that lands outside the fences.
+        st.lists(st.sampled_from([0.5, 1.0, 1.0, 1.25, 3.0]), min_size=1, max_size=60),
+        st.tuples(st.lists(st.floats(0.9, 1.1), min_size=4, max_size=30), _finite).map(
+            lambda t: t[0] + [t[1] * 1e3]
+        ),
+    )
+)
+def test_distribution_summary_matches_numpy_bit_for_bit(values):
+    # A float's repr round-trips its exact bits.
+    assert repr(distribution_summary(values)) == repr(_numpy_summary(values))
+
+
+@pytest.mark.parametrize(
+    "values", [[2.5], [1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0, 100.0], [-7.0, 0.1, 0.2, 0.3, 9.0]]
+)
+def test_distribution_summary_matches_numpy_on_known_cases(values):
+    assert repr(distribution_summary(values)) == repr(_numpy_summary(values))
+
+
 # ============================================================
 # Feature correlation
 # ============================================================
