@@ -328,8 +328,9 @@ def measure(
             ``gate: "assumed"``. Without it the pair is differentially
             checked before its first child, and a Divergent or Error
             outcome aborts the measurement; new rows record ``gate:
-            "Equivalent"``. The check is skipped only when all n
-            invocations are reused from rows that say ``"Equivalent"``,
+            "Equivalent"``, and a passing check rewrites each reused row
+            that does not say so yet. The check is skipped only when all
+            n invocations are reused from rows that say ``"Equivalent"``,
             since those rows hold the verdict for the same ``content_id``.
 
     Returns:
@@ -366,6 +367,10 @@ def measure(
                 f"pair {pair.pair_id} is {report.status}; "
                 "pass assume_equivalent=True to override"
             )
+        # The verdict holds for the reused rows' content_id too.
+        for row in reused:
+            if row and store and row.get("gate") != gate:
+                store.record_invocation({**row, "gate": gate})
     if reps is None:
         reps = calibrate(pair, cfg, interp)
 

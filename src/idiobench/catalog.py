@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 # ============================================================
 # Idiom kinds
@@ -400,13 +401,21 @@ def vector_from_dims(idiom: IdiomKind, dims: Mapping[str, Any]) -> FeatureVector
     )
 
 
-def enumerate_matrix(idiom: IdiomKind) -> list[FeatureVector]:
+def enumerate_matrix(
+    idiom: IdiomKind, pick: Callable[[int], Iterable[int]] | None = None
+) -> list[FeatureVector]:
     """Enumerate the full synthesis matrix for ``idiom``.
 
     The ordering is deterministic: dimensions are sorted by name and the
     cross product iterates each dimension's values in declared order,
     rightmost dimension fastest. Illegal combinations (constant swap
     assignments) are excluded.
+
+    With ``pick``, only the vectors at the indices that ``pick`` chooses
+    from the matrix size are returned, in the order given, and only they
+    are built: an index is decoded mixed-radix in the order above.
+    Assign-multi-targets is the exception, since dropping its constant
+    swaps leaves no full cross product; it is enumerated, then picked.
 
     Returns:
         Ordered list of distinct feature vectors.
@@ -415,12 +424,20 @@ def enumerate_matrix(idiom: IdiomKind) -> list[FeatureVector]:
     names = sorted(space)
     values = [space[name] for name in names]
     out: list[FeatureVector] = []
+    if pick is not None and idiom is not IdiomKind.ASSIGN_MULTI_TARGETS:
+        for index in pick(math.prod(len(levels) for levels in values)):
+            dims: dict[str, Any] = {}
+            for name, levels in zip(reversed(names), reversed(values)):
+                index, digit = divmod(index, len(levels))
+                dims[name] = levels[digit]
+            out.append(vector_from_dims(idiom, dims))
+        return out
     for combo in itertools.product(*values):
         dims = dict(zip(names, combo))
         if idiom is IdiomKind.ASSIGN_MULTI_TARGETS and dims["is_const"] and dims["is_swap"]:
             continue
         out.append(vector_from_dims(idiom, dims))
-    return out
+    return out if pick is None else [out[i] for i in pick(len(out))]
 
 
 # ============================================================

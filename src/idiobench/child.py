@@ -5,9 +5,10 @@ Two kinds of child run here:
 - **Analysis jobs** (the snapshot and bytecode drivers) run through a
   pool of fork servers per target interpreter, up to one per usable CPU,
   each started on first use as ``[interpreter, "-I", "-S", "-c", ...]``.
-  A server imports the drivers' modules once and ``os.fork()``s one
-  private child per job, so each job still runs in its own process; this
-  follows the stdlib ``multiprocessing`` forkserver. Each server runs one
+  A server imports the drivers' modules once, compiles each distinct
+  driver once, and ``os.fork()``s one private child per job to run that
+  code object, so each job still runs in its own process; this follows
+  the stdlib ``multiprocessing`` forkserver. Each server runs one
   job at a time; a job takes the first-started idle server, so a caller
   that never runs two jobs at once always uses the same one. ``imap``
   runs a function over items on as many threads as a pool has servers.
@@ -137,13 +138,14 @@ def exec_json(
 
 # Runs one job in the current process, writes the JSON of the "result"
 # the driver bound, if it exited normally and bound one, to a descriptor,
-# and returns the driver's exit status. A result that JSON cannot encode
-# fails the job like an exception in the driver. The modules the drivers
-# import are imported here, once per server.
+# and returns the driver's exit status. The driver is the code object
+# given, else the job's source compiled here. A result that JSON cannot
+# encode fails the job like an exception in the driver. The modules the
+# drivers import are imported here, once per server.
 _RUNNER = """\
 import contextlib, dis, io, json, os, select, signal, sys, time, types
 
-def run_job(job, result_fd):
+def run_job(job, result_fd, driver=None):
     null = os.open(os.devnull, os.O_RDWR)
     os.dup2(null, 0)
     os.dup2(null, 1)
@@ -152,7 +154,9 @@ def run_job(job, result_fd):
     namespace = {"__name__": "__main__", "job": job["input"]}
     data, code = b"", 0
     try:
-        exec(compile(job["driver"], "<string>", "exec"), namespace)
+        if driver is None:
+            driver = compile(job["driver"], "<string>", "exec")
+        exec(driver, namespace)
         if "result" in namespace:
             data = json.dumps(namespace["result"]).encode()
     except SystemExit as exc:
@@ -184,7 +188,21 @@ def exitcode(status):
         return os.WEXITSTATUS(status)
     return -os.WTERMSIG(status)
 
+# Each driver's code object, keyed by its source. A driver that does not
+# compile here is left for the child to compile, so that its error
+# reaches the client as any other failure of the driver does.
+driver_codes = {}
+
+def driver_code(source):
+    if source not in driver_codes:
+        try:
+            driver_codes[source] = compile(source, "<string>", "exec")
+        except Exception:
+            return None
+    return driver_codes[source]
+
 def fork_job(job):
+    driver = driver_code(job["driver"])
     result_r, result_w = os.pipe()
     err_r, err_w = os.pipe()
     pid = os.fork()
@@ -196,7 +214,7 @@ def fork_job(job):
             os.close(err_r)
             os.dup2(err_w, 2)
             os.close(err_w)
-            code = run_job(job, result_w)
+            code = run_job(job, result_w, driver)
         finally:
             os._exit(code)
     os.close(result_w)

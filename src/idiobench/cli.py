@@ -55,11 +55,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     idioms = [args.idiom] if args.idiom else list(IdiomKind)
     out_dir = Path(args.out)
     written = 0
+
+    def sample(total: int) -> list[int]:
+        return _stratified_indices(total, args.limit, args.seed)
+
     for idiom in idioms:
-        vectors = enumerate_matrix(idiom)
-        if args.limit:
-            indices = _stratified_indices(len(vectors), args.limit, args.seed)
-            vectors = [vectors[i] for i in indices]
+        vectors = enumerate_matrix(idiom, sample if args.limit else None)
         for vector in vectors:
             save_pair(synthesize(vector), out_dir)
             written += 1

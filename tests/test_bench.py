@@ -757,6 +757,21 @@ def test_a_store_missing_a_row_is_gated_before_that_row_is_timed(
     assert _gates(store, small_pair.pair_id) == {"Equivalent"}
 
 
+def test_a_passing_gate_upgrades_assumed_rows(tmp_path, small_pair, gate_log, capsys):
+    pairs_dir, store = tmp_path / "pairs", tmp_path / "t.jsonl"
+    save_pair(small_pair, pairs_dir)
+    _bench_cli(pairs_dir, store)
+    assert _gates(store, small_pair.pair_id) == {"assumed"}
+    gate_log.clear()
+    _bench_cli(pairs_dir, store, gated=True)
+    assert gate_log == ["gate"]
+    assert _gates(store, small_pair.pair_id) == {"Equivalent"}
+    text = store.read_bytes()
+    _bench_cli(pairs_dir, store, gated=True)
+    assert gate_log == ["gate"]
+    assert store.read_bytes() == text
+
+
 def test_a_row_without_a_gate_field_is_gated(tmp_path, small_pair, gate_log, capsys):
     pairs_dir, store = tmp_path / "pairs", tmp_path / "t.jsonl"
     save_pair(small_pair, pairs_dir)
@@ -764,12 +779,14 @@ def test_a_row_without_a_gate_field_is_gated(tmp_path, small_pair, gate_log, cap
     rows = [json.loads(line) for line in store.read_text().splitlines()]
     del rows[1]["gate"]
     store.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
-    text = store.read_bytes()
     gate_log.clear()
     _bench_cli(pairs_dir, store, gated=True)
-    # The gate passes and every row is reused: no child, no new row.
+    # The gate passes and every row is reused: no child, and the row
+    # without a gate now says it was admitted behind one.
     assert gate_log == ["gate"]
-    assert store.read_bytes() == text
+    assert _gates(store, small_pair.pair_id) == {"Equivalent"}
+    _bench_cli(pairs_dir, store, gated=True)
+    assert gate_log == ["gate"]
 
 
 # ============================================================

@@ -71,6 +71,19 @@ def test_matrix_vectors_distinct_and_ordered(idiom):
     assert keys == [v.key() for v in enumerate_matrix(idiom)]
 
 
+@pytest.mark.parametrize("idiom", list(IdiomKind), ids=lambda k: k.value)
+def test_picked_vectors_are_the_enumerated_ones(idiom):
+    from idiobench.cli import _stratified_indices
+
+    keys = [v.key() for v in enumerate_matrix(idiom)]
+    assert [v.key() for v in enumerate_matrix(idiom, range)] == keys
+    for limit in (1, 3, 11, 40, 400):
+        for seed in (0, 1, 9101):
+            indices = _stratified_indices(len(keys), limit, seed)
+            picked = enumerate_matrix(idiom, lambda total: _stratified_indices(total, limit, seed))
+            assert [v.key() for v in picked] == [keys[i] for i in indices]
+
+
 def test_chain_compops_are_sorted_multisets():
     space = feature_space(IdiomKind.CHAIN_COMPARISON)
     combos = space.dims["compops"]

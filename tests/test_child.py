@@ -87,6 +87,42 @@ def test_failed_jobs_raise_with_stderr_tail(path, monkeypatch):
         _job("result = object()")
 
 
+# A driver that answers with the sources its server compiled to the code
+# object it runs as.
+OWN_SOURCE = (
+    "import sys\n"
+    "code, codes = sys._getframe().f_code, sys.modules['__main__'].driver_codes\n"
+    "result = [s for s, c in codes.items() if c is code]\n"
+)
+
+
+def test_jobs_run_the_code_their_server_compiled():
+    """Two drivers interleaved on one server each run their own code."""
+    other = OWN_SOURCE + "result.append(1)\n"
+    for _ in range(2):
+        assert _job(OWN_SOURCE) == [OWN_SOURCE]
+        assert _job(other) == [other, 1]
+
+
+def _failure(driver: str) -> str:
+    with pytest.raises(child.ChildError) as info:
+        _job(driver)
+    return str(info.value)
+
+
+def test_failed_drivers_read_the_same_on_fork_and_exec(monkeypatch):
+    drivers = ["def (:\n", "x = 1\n\0\n", "def f():\n    raise ValueError('boom')\nf()\n"]
+    forked = [_failure(d) for d in drivers]
+    monkeypatch.delattr(os, "fork")
+    assert [_failure(d) for d in drivers] == forked
+    syntax, null, raises = forked
+    assert "SyntaxError" in syntax
+    assert "null bytes" in null
+    assert raises.startswith("exited 1: Traceback")
+    assert 'line 3, in <module>' in raises and "in f\n" in raises
+    assert "run_job" not in raises
+
+
 @pytest.mark.parametrize("minor", range(8, 14), ids=lambda minor: f"3.{minor}")
 def test_job_protocol_on_each_local_interpreter(minor, monkeypatch):
     """The runner decides a job's exit status inside the target interpreter."""
