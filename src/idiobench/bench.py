@@ -20,6 +20,10 @@ count, and a resumed run reuses only rows that match on all three, so an
 edited pair, another interpreter or another floor is timed again. A row
 also records how its pair was admitted, so a pair that is reused whole
 from rows written behind a passing gate is not gated again.
+
+``measure`` and ``load_grid`` return one ``TimingGrid`` per pair: its
+rows as stored, checked once. ``halves()`` splits them into the two
+post-warmup grids, as plain lists, that ``stats`` compares.
 """
 
 from __future__ import annotations
@@ -30,22 +34,15 @@ import logging
 import os
 import platform
 import subprocess
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from idiobench import child
 from idiobench.synth import CodePair, wrap_calibration, wrap_pair
 
-if TYPE_CHECKING:
-    import numpy as np
-
 log = logging.getLogger(__name__)
-
-NON_IDIOMATIC = "NonIdiomatic"
-IDIOMATIC = "Idiomatic"
-VARIANTS = (NON_IDIOMATIC, IDIOMATIC)
 
 
 class BenchError(RuntimeError):
@@ -89,38 +86,48 @@ class BenchConfig:
             raise ValueError("warmup must be nonnegative and below k_iterations")
 
 
-@dataclass
-class TimingMatrix:
+@dataclass(frozen=True)
+class TimingGrid:
+    """One pair's n timed invocations, each row as the store holds it:
+    2k per-repetition durations in nanoseconds, the non-idiomatic k first.
+    """
+
     pair_id: str
-    variant: str
-    n_invocations: int
-    k_iterations: int
     warmup: int
-    timings_ns: list[list[float]]
+    rows: list[list[float]]
+    repetitions: int
     interpreter_id: str
     host_id: str
-    repetitions: int = 1
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        grid = self.timings_ns
-        if len(grid) != self.n_invocations or any(
-            len(row) != self.k_iterations for row in grid
-        ):
-            raise ValueError("timings grid must be fully populated n x k")
-        if any(cell <= 0 for row in grid for cell in row):
+        k = len(self.rows[0]) // 2 if self.rows else 0
+        if not k or any(len(row) != 2 * k for row in self.rows):
+            raise ValueError("timing rows must be non-empty and all of one even length 2k")
+        if not 0 <= self.warmup < k:
+            raise ValueError(f"warmup {self.warmup} must be nonnegative and below k={k}")
+        if any(cell <= 0 for row in self.rows for cell in row):
             raise ClockResolution("every duration must be positive")
 
-    def measured(self) -> np.ndarray:
-        """Post-warmup per-iteration durations, shape (n, k - warmup)."""
-        import numpy as np
+    @classmethod
+    def from_rows(cls, pair_id: str, rows: list[dict[str, Any]], warmup: int) -> TimingGrid:
+        """The grid of a pair's store rows, given in invocation order."""
+        first = rows[0]
+        return cls(
+            pair_id=pair_id,
+            warmup=warmup,
+            rows=[row["timings_ns"] for row in rows],
+            repetitions=first["repetitions"],
+            interpreter_id=first["interpreter_id"],
+            host_id=first["host_id"],
+        )
 
-        return np.asarray(self.timings_ns, dtype=float)[:, self.warmup :]
-
-
-def resolve_interpreter(cfg: BenchConfig | None = None) -> str:
-    return child.resolve_interpreter(cfg.interpreter if cfg is not None else None)
+    def halves(self) -> tuple[list[list[float]], list[list[float]]]:
+        """Post-warmup (non-idiomatic, idiomatic) grids, each n x (k - warmup)."""
+        k = len(self.rows[0]) // 2
+        return (
+            [row[self.warmup : k] for row in self.rows],
+            [row[k + self.warmup :] for row in self.rows],
+        )
 
 
 def _child_env() -> dict[str, str]:
@@ -276,33 +283,9 @@ def calibrate(pair: CodePair, cfg: BenchConfig, interpreter: str | None = None) 
         min_iteration_ns=cfg.min_iteration_ns,
         max_repetitions=cfg.max_repetitions,
     )
-    record, _ = run_invocation(module, cfg, interpreter or resolve_interpreter(cfg))
+    interp = interpreter or child.resolve_interpreter(cfg.interpreter)
+    record, _ = run_invocation(module, cfg, interp)
     return max(int(reps) for reps in record["repetitions"])
-
-
-def _matrices(
-    pair_id: str, rows: list[dict[str, Any]], cfg: BenchConfig
-) -> tuple[TimingMatrix, TimingMatrix]:
-    """Both variants' n x k matrices from a pair's n rows of 2k durations."""
-    k, first = cfg.k_iterations, rows[0]
-    # The idiomatic half takes the rest of a row, so a row that does not
-    # hold 2k durations fails the n x k check.
-    grids = ([r["timings_ns"][:k] for r in rows], [r["timings_ns"][k:] for r in rows])
-    non_id, idio = (
-        TimingMatrix(
-            pair_id=pair_id,
-            variant=variant,
-            n_invocations=len(rows),
-            k_iterations=k,
-            warmup=cfg.warmup,
-            timings_ns=grid,
-            interpreter_id=first["interpreter_id"],
-            host_id=first["host_id"],
-            repetitions=first["repetitions"],
-        )
-        for variant, grid in zip(VARIANTS, grids)
-    )
-    return non_id, idio
 
 
 def measure(
@@ -311,7 +294,7 @@ def measure(
     store: TimingStore | None = None,
     *,
     assume_equivalent: bool = False,
-) -> tuple[TimingMatrix, TimingMatrix]:
+) -> TimingGrid:
     """Measure both variants of ``pair`` under the full protocol.
 
     Args:
@@ -334,14 +317,14 @@ def measure(
             since those rows hold the verdict for the same ``content_id``.
 
     Returns:
-        (non-idiomatic matrix, idiomatic matrix), each n x k of
-        per-iteration durations in nanoseconds (amplification already
-        divided out).
+        The pair's grid at ``cfg.warmup``: n rows of 2k per-iteration
+        durations in nanoseconds (amplification already divided out),
+        the non-idiomatic k first.
     """
     cfg = cfg or BenchConfig()
     if not pair.idiomatic_source.strip():
         raise MissingIdiomatic(f"pair {pair.pair_id} has no idiomatic source")
-    interp = resolve_interpreter(cfg)
+    interp = child.resolve_interpreter(cfg.interpreter)
     interp_id = interpreter_id(interp)
     key = content_id(pair, interp_id)
     host = host_id()
@@ -410,22 +393,22 @@ def measure(
             if store:
                 store.record_invocation(row)
         rows.append(row)
-    return _matrices(pair.pair_id, rows, cfg)
+    return TimingGrid.from_rows(pair.pair_id, rows, cfg.warmup)
 
 
-def load_matrices(
+def load_grid(
     store: TimingStore,
     pair_id: str,
-    cfg: BenchConfig | None = None,
+    warmup: int = BenchConfig.warmup,
     pair: CodePair | None = None,
-) -> tuple[TimingMatrix, TimingMatrix]:
-    """Rebuild both variants' matrices from stored rows.
+) -> TimingGrid:
+    """Rebuild a pair's grid from its stored rows.
 
-    The grid shape is taken from the stored rows themselves; ``cfg``
-    supplies the warmup. Raises ``ValueError`` when the rows leave a
-    hole, disagree on ``content_id``, ``repetitions``, ``min_iteration_ns``
-    or ``max_repetitions`` (a grid mixed from two runs), or timed other
-    code than ``pair`` now holds.
+    The grid's shape is taken from the rows themselves. Raises
+    ``ValueError`` when the rows leave a hole, disagree on ``content_id``,
+    ``repetitions``, ``min_iteration_ns`` or ``max_repetitions`` (a grid
+    mixed from two runs) or on their length, leave no measured iteration
+    after ``warmup``, or timed other code than ``pair`` now holds.
     """
     rows = store.rows(pair_id)
     if not rows:
@@ -438,9 +421,4 @@ def load_matrices(
             raise ValueError(f"rows of {pair_id} disagree on {field}; re-bench at the full --n")
     if pair is not None and first["content_id"] != content_id(pair, first["interpreter_id"]):
         raise ValueError(f"rows of {pair_id} are stale: the pair changed; re-run bench")
-    shaped = replace(
-        cfg or BenchConfig(),
-        n_invocations=len(rows),
-        k_iterations=len(first["timings_ns"]) // 2,
-    )
-    return _matrices(pair_id, rows, shaped)
+    return TimingGrid.from_rows(pair_id, rows, warmup)

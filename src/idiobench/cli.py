@@ -159,12 +159,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from idiobench.bench import BenchConfig, TimingStore, load_matrices
+    from idiobench.bench import TimingStore, load_grid
     from idiobench.stats import PairResult, perf_change, write_results_csv
 
     store = TimingStore(Path(args.timings))
     pairs = {p.pair_id: p for p in load_pairs(Path(args.in_dir))}
-    cfg = BenchConfig(warmup=args.warmup)
     results: list[PairResult] = []
     failures = 0
     for pair_id in store.pair_ids():
@@ -173,13 +172,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             log.warning("timings for unknown pair %s skipped", pair_id)
             continue
         try:
-            non_id, idio = load_matrices(store, pair_id, cfg, pair)
+            grid = load_grid(store, pair_id, args.warmup, pair)
         except (KeyError, ValueError) as exc:
             failures += 1
             log.error("pair %s skipped: %s", pair_id, exc)
             continue
         change = perf_change(
-            non_id, idio, B=args.bootstrap, confidence=args.confidence, seed=args.seed
+            *grid.halves(), B=args.bootstrap, confidence=args.confidence, seed=args.seed
         )
         results.append(
             PairResult(

@@ -1,13 +1,14 @@
-"""Ratio statistics over timing matrices.
+"""Ratio statistics over a pair's two timing grids.
 
 The central quantity is the performance-change ratio rho: the summed
 post-warmup non-idiomatic durations divided by the summed idiomatic
-ones, so rho > 1 means the idiomatic form is faster. Uncertainty comes
-from a two-level bootstrap that resamples whole invocations first and
-iterations within each drawn invocation second, reflecting that
-iterations within one process are not independent of each other.
-Classification is by CI position relative to 1, and interval width is
-reported relative to the point estimate (RCIW).
+ones, so rho > 1 means the idiomatic form is faster. The two grids are
+plain n x m arrays or nested lists, such as ``TimingGrid.halves()``.
+Uncertainty comes from a two-level bootstrap that resamples whole
+invocations first and iterations within each drawn invocation second,
+reflecting that iterations within one process are not independent of
+each other. Classification is by CI position relative to 1, and
+interval width is reported relative to the point estimate (RCIW).
 
 numpy is imported by the functions that use it, so a caller that only
 summarizes a distribution does not load it.
@@ -59,12 +60,10 @@ class PerfChange:
             raise ValueError("classification inconsistent with the CI rule")
 
 
-def _measured(matrix: Any) -> np.ndarray:
+def _measured(grid: Any) -> np.ndarray:
     import numpy as np
 
-    if hasattr(matrix, "measured"):
-        return matrix.measured()
-    data = np.asarray(matrix, dtype=float)
+    data = np.asarray(grid, dtype=float)
     if data.ndim != 2:
         raise ShapeMismatch("timing data must be a 2-D grid")
     return data
@@ -74,9 +73,6 @@ def _paired(non_id: Any, idio: Any) -> tuple[np.ndarray, np.ndarray]:
     a, b = _measured(non_id), _measured(idio)
     if a.shape != b.shape:
         raise ShapeMismatch(f"grids differ in shape: {a.shape} vs {b.shape}")
-    if hasattr(non_id, "warmup") and hasattr(idio, "warmup"):
-        if non_id.warmup != idio.warmup:
-            raise ShapeMismatch("matrices disagree on warmup")
     if a.size == 0:
         raise EmptyInput("no measured iterations")
     return a, b
@@ -86,8 +82,8 @@ def compute_rho(non_id: Any, idio: Any) -> float:
     """Ratio of summed measured durations, non-idiomatic over idiomatic.
 
     Args:
-        non_id, idio: TimingMatrix objects or plain (n, m) arrays of
-            measured (post-warmup) durations with identical shape.
+        non_id, idio: (n, m) grids of measured (post-warmup) durations
+            with identical shape, such as ``TimingGrid.halves()``.
 
     Returns:
         rho > 1 when the idiomatic variant is faster.
@@ -274,8 +270,16 @@ class CorrelationReport:
 
 
 def _level_orders(idiom: IdiomKind) -> dict[str, list[Any]]:
-    """Declared value order per dimension, for ordinal encoding."""
-    return {name: list(values) for name, values in feature_space(idiom).dims.items()}
+    """Declared value order per dimension, for ordinal encoding. The
+    levels of a multiset dimension are the elements its multisets hold,
+    in first-seen order: for ``compops``, the operators, not the tuples.
+    """
+    orders = {}
+    for name, values in feature_space(idiom).dims.items():
+        if isinstance(values[0], tuple):
+            values = dict.fromkeys(e for multiset in values for e in multiset)
+        orders[name] = list(values)
+    return orders
 
 
 def _encode_rows(
@@ -284,14 +288,13 @@ def _encode_rows(
     import numpy as np
 
     orders = _level_orders(idiom)
-    names: list[str] = []
     columns: dict[str, list[float]] = {}
     for vector, _ in rows:
         dims = vector.dims()
         for name in sorted(dims):
             value = dims[name]
             if isinstance(value, tuple):
-                # Multiset dimensions expand to one count per level.
+                # A multiset dimension expands to one count per element.
                 for level in orders[name]:
                     key = f"{name}[{level}]"
                     columns.setdefault(key, []).append(float(value.count(level)))

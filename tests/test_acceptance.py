@@ -257,8 +257,7 @@ class DeskBench:
 
     def _measure(self, name: str):
         pair = refactor_pair(synthesize(self.pairs[name]))
-        non_id, idio = measure(pair, DESK_CFG)
-        return perf_change(non_id, idio, B=BOOTSTRAP_B, seed=0)
+        return perf_change(*measure(pair, DESK_CFG).halves(), B=BOOTSTRAP_B, seed=0)
 
     def change(self, name: str):
         if name not in self.changes:

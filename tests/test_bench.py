@@ -14,24 +14,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from idiobench import child
 from idiobench.bench import (
-    IDIOMATIC,
-    NON_IDIOMATIC,
-    VARIANTS,
     BenchConfig,
     ChildCrash,
     ClockResolution,
     EquivalenceGate,
-    TimingMatrix,
+    TimingGrid,
     TimingStore,
     _child_env,
     calibrate,
     content_id,
     host_id,
     interpreter_id,
-    load_matrices,
+    load_grid,
     measure,
-    resolve_interpreter,
 )
 from idiobench.catalog import IdiomKind, enumerate_matrix
 from idiobench.refactor import refactor_pair
@@ -67,7 +64,7 @@ def local_pair():
 
 
 # ============================================================
-# Config and matrix validation
+# Config and grid validation
 # ============================================================
 
 
@@ -90,39 +87,49 @@ def test_config_rejects_bad_shapes(kwargs):
         BenchConfig(**kwargs)
 
 
-def _matrix(grid, warmup=1, variant=NON_IDIOMATIC):
-    return TimingMatrix(
+def _grid(rows, warmup=1):
+    return TimingGrid(
         pair_id="p",
-        variant=variant,
-        n_invocations=len(grid),
-        k_iterations=len(grid[0]),
         warmup=warmup,
-        timings_ns=grid,
+        rows=rows,
+        repetitions=1,
         interpreter_id="cpython-test",
         host_id="host",
     )
 
 
+def _shapes(grid) -> set:
+    """The (n, k - warmup) shapes of the grid's two halves."""
+    return {(len(half), len(half[0])) for half in grid.halves()}
+
+
 def test_matrix_measured_drops_warmup():
-    grid = [[9.0, 1.0, 2.0], [9.0, 3.0, 4.0]]
-    measured = _matrix(grid).measured()
-    assert measured.shape == (2, 2)
-    assert measured.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    grid = _grid([[9.0, 1.0, 2.0, 9.0, 5.0, 6.0], [9.0, 3.0, 4.0, 9.0, 7.0, 8.0]])
+    assert grid.halves() == ([[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]])
 
 
 def test_matrix_rejects_ragged_grid():
     with pytest.raises(ValueError):
-        _matrix([[1.0, 2.0], [1.0]])
+        _grid([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0]], warmup=0)
+
+
+@pytest.mark.parametrize("rows", [[[1.0, 2.0, 3.0]], [], [[]]], ids=["odd", "no-rows", "empty"])
+def test_grid_rejects_rows_that_are_not_2k_long(rows):
+    with pytest.raises(ValueError):
+        _grid(rows, warmup=0)
 
 
 def test_matrix_rejects_nonpositive_durations():
     with pytest.raises(ClockResolution):
-        _matrix([[1.0, 0.0]])
+        _grid([[1.0, 0.0]], warmup=0)
 
 
-def test_matrix_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        _matrix([[1.0, 2.0]], variant="Baseline")
+def test_grid_rejects_a_warmup_that_leaves_no_iteration():
+    rows = [[1.0, 2.0, 3.0, 4.0]]
+    assert _shapes(_grid(rows, warmup=1)) == {(1, 1)}
+    for warmup in (2, -1):
+        with pytest.raises(ValueError, match="below k=2"):
+            _grid(rows, warmup=warmup)
 
 
 # ============================================================
@@ -142,17 +149,10 @@ def test_child_env_is_scrubbed(monkeypatch):
 
 
 def test_interpreter_id_format():
-    ident = interpreter_id(resolve_interpreter())
+    ident = interpreter_id(child.resolve_interpreter())
     impl, _, version = ident.partition("-")
     assert impl == "cpython"
     assert version.count(".") == 2
-
-
-def test_resolve_interpreter_prefers_config_then_env(monkeypatch):
-    assert resolve_interpreter(BenchConfig(interpreter="/opt/py")) == "/opt/py"
-    monkeypatch.setenv("TARGET_INTERPRETER", "/env/py")
-    assert resolve_interpreter() == "/env/py"
-    assert resolve_interpreter(BenchConfig(interpreter="/opt/py")) == "/opt/py"
 
 
 def test_host_id_nonempty():
@@ -181,10 +181,10 @@ def test_protocol_runs_on_each_local_interpreter(minor, small_pair, local_pair, 
     for pair in (small_pair, local_pair):
         assert check(pair, interpreter=interp).status == "Equivalent"
         store = TimingStore(tmp_path / f"{pair.pair_id}.jsonl")
-        for matrix in measure(pair, cfg, store, assume_equivalent=True):
-            assert matrix.interpreter_id == ident
-            assert matrix.measured().shape == (2, 2)
-            assert matrix.repetitions > 1
+        grid = measure(pair, cfg, store, assume_equivalent=True)
+        assert grid.interpreter_id == ident
+        assert _shapes(grid) == {(2, 2)}
+        assert grid.repetitions > 1
 
 
 # ============================================================
@@ -251,7 +251,7 @@ def test_a_later_row_replaces_its_invocation(tmp_path):
         {
             "kind": "invocation",
             "pair_id": "p",
-            "variant": NON_IDIOMATIC,
+            "variant": "NonIdiomatic",
             "invocation": 0,
             "timings_ns": [100.0] * 3,
             "repetitions": 4,
@@ -276,13 +276,11 @@ def test_store_written_before_content_keys_fails_loudly(tmp_path, old):
 
 def test_measure_produces_full_grids(tmp_path, small_pair):
     store = TimingStore(tmp_path / "t.jsonl")
-    non_id, idio = measure(small_pair, FAST_CFG, store, assume_equivalent=True)
-    for matrix in (non_id, idio):
-        assert matrix.measured().shape == (3, 4)
-        assert matrix.repetitions >= 1
-        assert matrix.interpreter_id.startswith("cpython-")
-    assert non_id.variant == NON_IDIOMATIC
-    assert idio.variant == IDIOMATIC
+    grid = measure(small_pair, FAST_CFG, store, assume_equivalent=True)
+    assert _shapes(grid) == {(3, 4)}
+    assert grid.warmup == FAST_CFG.warmup
+    assert grid.repetitions >= 1
+    assert grid.interpreter_id.startswith("cpython-")
 
 
 def _assert_one_line_per_invocation(path, n):
@@ -312,8 +310,7 @@ def test_measure_survives_a_payload_printing_without_newline(tmp_path, small_pai
         idiomatic_source=printing + small_pair.idiomatic_source,
     )
     cfg = dataclasses.replace(FAST_CFG, n_invocations=1, k_iterations=2)
-    for matrix in measure(pair, cfg, TimingStore(tmp_path / "t.jsonl")):
-        assert matrix.measured().shape == (1, 1)
+    assert _shapes(measure(pair, cfg, TimingStore(tmp_path / "t.jsonl"))) == {(1, 1)}
 
 
 def test_measure_resumes_without_respawning(tmp_path, small_pair, monkeypatch):
@@ -327,14 +324,12 @@ def test_measure_resumes_without_respawning(tmp_path, small_pair, monkeypatch):
 
     monkeypatch.setattr(bench_mod, "run_invocation", refuse)
     resumed = TimingStore(store_path)
-    non_id, idio = measure(small_pair, FAST_CFG, resumed, assume_equivalent=True)
-    assert non_id.measured().shape == (3, 4)
-    assert idio.measured().shape == (3, 4)
+    assert _shapes(measure(small_pair, FAST_CFG, resumed, assume_equivalent=True)) == {(3, 4)}
 
 
 def test_measure_reuses_stored_calibration(tmp_path, small_pair, monkeypatch):
     store = TimingStore(tmp_path / "t.jsonl")
-    key = content_id(small_pair, interpreter_id(resolve_interpreter()))
+    key = content_id(small_pair, interpreter_id(child.resolve_interpreter()))
     kept = _record(
         small_pair.pair_id, invocation=1, k=FAST_CFG.k_iterations, content=key, repetitions=7
     )
@@ -367,7 +362,7 @@ def test_measure_reuses_rows_only_at_the_runs_floor_and_cap(
     import idiobench.bench as bench_mod
 
     store = TimingStore(tmp_path / "t.jsonl")
-    key = content_id(small_pair, interpreter_id(resolve_interpreter()))
+    key = content_id(small_pair, interpreter_id(child.resolve_interpreter()))
     n, k = FAST_CFG.n_invocations, FAST_CFG.k_iterations
     for invocation in range(n):
         row = _record(small_pair.pair_id, invocation, k=k, content=key, repetitions=7)
@@ -428,23 +423,22 @@ def test_calibration_spawns_one_child_per_variant(small_pair, monkeypatch):
     assert module.count("while True:") == 2
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_calibrated_count_reaches_the_floor(small_pair, variant):
+@pytest.mark.parametrize("index", [0, 1], ids=["NonIdiomatic", "Idiomatic"])
+def test_calibrated_count_reaches_the_floor(small_pair, index):
     import dataclasses
 
     from idiobench.bench import run_invocation
 
-    # The other half is slowed, so ``variant`` is the faster one: the
+    # The other half is slowed, so half ``index`` is the faster one: the
     # larger count, which both halves share, is its own.
     slow = "for _ in range(30):\n    pass\n"
-    index = VARIANTS.index(variant)
     sources = [small_pair.non_idiomatic_source, small_pair.idiomatic_source]
     sources[1 - index] = slow + sources[1 - index]
     pair = dataclasses.replace(
         small_pair, non_idiomatic_source=sources[0], idiomatic_source=sources[1]
     )
     cfg = dataclasses.replace(FAST_CFG, min_iteration_ns=1_000_000)
-    interp = resolve_interpreter(cfg)
+    interp = child.resolve_interpreter(cfg.interpreter)
     reps = calibrate(pair, cfg, interp)
     assert 1 < reps < cfg.max_repetitions
     module = wrap_pair(*sources, pair.setup_source, pair.scope_mode, repetitions=reps)
@@ -457,11 +451,20 @@ def test_calibrated_count_reaches_the_floor(small_pair, variant):
     assert calibrate(pair, capped, interp) == 16
 
 
-def test_bench_stage_imports_no_numpy():
+def test_bench_stage_imports_no_numpy(tmp_path):
     import idiobench
 
+    store = TimingStore(tmp_path / "t.jsonl")
+    for i in range(2):
+        store.record_invocation(_record(invocation=i))
     env = dict(os.environ, PYTHONPATH=str(Path(idiobench.__file__).parents[1]))
-    code = "import sys, idiobench.bench, idiobench.bytecode; print('numpy' in sys.modules)"
+    code = (
+        "import sys, idiobench.bytecode\n"
+        "from idiobench.bench import TimingStore, load_grid\n"
+        f"halves = load_grid(TimingStore({str(store.path)!r}), 'p', warmup=1).halves()\n"
+        "assert halves == ([[100.0] * 2, [101.0] * 2], [[200.0] * 2, [201.0] * 2])\n"
+        "print('numpy' in sys.modules)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
@@ -471,22 +474,18 @@ def test_bench_stage_imports_no_numpy():
 
 def test_load_matrices_round_trip(tmp_path, small_pair):
     store = TimingStore(tmp_path / "t.jsonl")
-    non_id, idio = measure(small_pair, FAST_CFG, store, assume_equivalent=True)
-    loaded_non, loaded_id = load_matrices(store, small_pair.pair_id, FAST_CFG)
-    assert loaded_non.timings_ns == non_id.timings_ns
-    assert loaded_id.timings_ns == idio.timings_ns
-    assert loaded_non.repetitions == non_id.repetitions
+    grid = measure(small_pair, FAST_CFG, store, assume_equivalent=True)
+    assert load_grid(store, small_pair.pair_id, FAST_CFG.warmup) == grid
 
 
 def test_load_matrices_splits_each_row_into_both_grids(tmp_path):
     store = TimingStore(tmp_path / "t.jsonl")
     for i in range(2):
         store.record_invocation(_record(invocation=i))
-    non_id, idio = load_matrices(store, "p", BenchConfig(warmup=1))
-    assert non_id.timings_ns == [[100.0] * 3, [101.0] * 3]
-    assert idio.timings_ns == [[200.0] * 3, [201.0] * 3]
-    assert (non_id.variant, idio.variant) == VARIANTS
-    assert non_id.repetitions == idio.repetitions == 4
+    grid = load_grid(store, "p", warmup=1)
+    assert grid.rows == [[100.0] * 3 + [200.0] * 3, [101.0] * 3 + [201.0] * 3]
+    assert grid.halves() == ([[100.0] * 2, [101.0] * 2], [[200.0] * 2, [201.0] * 2])
+    assert grid.repetitions == 4
 
 
 def test_load_matrices_rejects_partial_grid(tmp_path):
@@ -494,7 +493,7 @@ def test_load_matrices_rejects_partial_grid(tmp_path):
     store.record_invocation(_record(invocation=0))
     store.record_invocation(_record(invocation=2))  # hole at 1
     with pytest.raises(ValueError):
-        load_matrices(store, "p", BenchConfig(warmup=1))
+        load_grid(store, "p", warmup=1)
 
 
 @pytest.mark.parametrize(
@@ -513,14 +512,14 @@ def test_load_matrices_rejects_a_mixed_grid(tmp_path, odd_one):
     store.record_invocation(_record(invocation=0))
     store.record_invocation(_record(invocation=1, **odd_one))
     with pytest.raises(ValueError):
-        load_matrices(store, "p", BenchConfig(warmup=1))
+        load_grid(store, "p", warmup=1)
 
 
 def test_run_invocation_reports_child_crash():
     from idiobench.bench import run_invocation
 
     with pytest.raises(ChildCrash):
-        run_invocation("import sys; sys.exit(3)", FAST_CFG, resolve_interpreter())
+        run_invocation("import sys; sys.exit(3)", FAST_CFG, child.resolve_interpreter())
 
 
 def test_gate_runs_on_the_configured_interpreter(tmp_path, small_pair, monkeypatch):
@@ -614,12 +613,9 @@ def test_bench_resumes_after_a_torn_line(tmp_path, small_pair, monkeypatch, caps
     bench(resumed)
     assert len(calls) == 1
     _assert_one_line_per_invocation(resumed, 3)
-    cfg = BenchConfig(warmup=1)
-    for left, right in zip(
-        load_matrices(TimingStore(whole), small_pair.pair_id, cfg),
-        load_matrices(TimingStore(resumed), small_pair.pair_id, cfg),
-    ):
-        assert left.timings_ns == right.timings_ns
+    assert load_grid(TimingStore(whole), small_pair.pair_id) == load_grid(
+        TimingStore(resumed), small_pair.pair_id
+    )
 
 
 @pytest.fixture(scope="module")
@@ -661,12 +657,9 @@ def test_bench_resume_after_a_kill_at_any_byte(tmp_path, small_pair, whole_bench
     # only when none survived; every lost row costs one timing child.
     assert calibrations == (1 if kept == 0 else 0)
     assert len(fake.calls) - calibrations == lost
-    cfg = BenchConfig(warmup=1)
-    for left, right in zip(
-        load_matrices(whole, small_pair.pair_id, cfg),
-        load_matrices(TimingStore(store), small_pair.pair_id, cfg),
-    ):
-        assert left.timings_ns == right.timings_ns
+    assert load_grid(whole, small_pair.pair_id) == load_grid(
+        TimingStore(store), small_pair.pair_id
+    )
     _assert_one_line_per_invocation(store, 3)
 
 
@@ -684,7 +677,7 @@ def gate_log(monkeypatch):
     log: list[str] = []
     fake, real_check = _FakeChild(), equivalence.check
 
-    def child(*args):
+    def timing_child(*args):
         log.append("child")
         return fake(*args)
 
@@ -692,7 +685,7 @@ def gate_log(monkeypatch):
         log.append("gate")
         return real_check(*args, **kwargs)
 
-    monkeypatch.setattr(bench_mod, "run_invocation", child)
+    monkeypatch.setattr(bench_mod, "run_invocation", timing_child)
     monkeypatch.setattr(equivalence, "check", check)
     return log
 
@@ -951,6 +944,6 @@ def test_store_payload_matches_both_grids(tmp_path, small_pair, local_pair, monk
     _bench_cli(tmp_path / "pairs", store)
     expected_ns = 0.0
     for pair in (small_pair, local_pair):
-        for matrix in load_matrices(TimingStore(store), pair.pair_id, BenchConfig(warmup=1)):
-            expected_ns += sum(map(sum, matrix.timings_ns)) * matrix.repetitions
+        grid = load_grid(TimingStore(store), pair.pair_id)
+        expected_ns += sum(map(sum, grid.rows)) * grid.repetitions
     assert metrics.store_payload_s(store) == pytest.approx(expected_ns / 1e9, rel=1e-12)

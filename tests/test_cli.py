@@ -349,6 +349,85 @@ def test_stats_skips_a_partial_grid(pipeline_dir, tmp_path, capsys):
     assert len(rows) == 2 and pairs[1].pair_id in rows[1]
 
 
+# The stats CSV of the fixed store below, pinned digit for digit: it
+# covers every step from stored row through load and warmup to bootstrap.
+GOLDEN_RESULTS = (
+    "pair_id,idiom,empty_value,eq_op,is_true,scope,test_parent,"
+    "rho,ci_low,ci_high,rciw,classification\n"
+    "3b3b114b1d633764,truth-value-test,range,==,1,Global,assert,"
+    "0.9417707659383865,0.8686898304256464,1.019360693758193,0.15998677043496579,Unchanged\n"
+    "4207da07c2fef4d4,truth-value-test,list,==,0,Global,if,"
+    "1.2828097117828365,1.19194582299421,1.3750967599248038,0.14277326968163698,Speedup\n"
+)
+
+
+def test_stats_csv_from_a_fixed_store_is_golden(pipeline_dir, tmp_path, capsys):
+    from idiobench.bench import TimingStore, content_id
+
+    store = TimingStore(tmp_path / "timings.jsonl")
+    for index, pair in enumerate(load_pairs(pipeline_dir / "pairs")[:2]):
+        # Four invocations of k=5 per variant; the second pair's idiomatic
+        # half is the faster one.
+        for invocation in range(4):
+            store.record_invocation(
+                {
+                    **_store_row(pair, invocation, 0.0, 0.0),
+                    "timings_ns": [
+                        (
+                            1000
+                            + 300 * index
+                            + 37 * ((invocation * 10 + j) * 7 % 11)
+                            + (50 - 400 * index) * (j >= 5)
+                        )
+                        / 3
+                        for j in range(10)
+                    ],
+                    "repetitions": 8,
+                }
+            )
+    results = tmp_path / "results.csv"
+    code, _ = _run(
+        capsys,
+        "stats",
+        "--timings", str(store.path),
+        "--in", str(pipeline_dir / "pairs"),
+        "--bootstrap", "200",
+        "--warmup", "1",
+        "--out", str(results),
+    )
+    assert code == 0
+    assert results.read_text(encoding="utf-8") == GOLDEN_RESULTS
+
+
+def test_stats_checks_warmup_against_the_stored_k(pipeline_dir, tmp_path, capsys, caplog):
+    from idiobench.synth import save_pair
+
+    pair = load_pairs(pipeline_dir / "pairs")[0]
+    save_pair(pair, tmp_path / "pairs")
+    timings, results = str(tmp_path / "timings.jsonl"), str(tmp_path / "results.csv")
+    code, _ = _run(
+        capsys,
+        "bench",
+        "--in", str(tmp_path / "pairs"),
+        "--timings", timings,
+        "--n", "2",
+        "--k", "40",
+        "--min-iteration-ns", "100000",
+        "--assume-equivalent",
+    )
+    assert code == 0
+    stats = ["stats", "--timings", timings, "--in", str(tmp_path / "pairs")]
+    stats += ["--bootstrap", "50", "--out", results]
+    # 36 is above the default k of 35 but below the stored k of 40.
+    code, out = _run(capsys, *stats, "--warmup", "36")
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["rows"] == 1
+    caplog.clear()
+    code, _ = _run(capsys, *stats, "--warmup", "40")
+    assert code == 1
+    assert f"pair {pair.pair_id} skipped: warmup 40" in caplog.text
+
+
 def _store_with_blank_idiomatic_half(tmp_path, capsys):
     """Three refactored loop-else pairs; the second loses its idiomatic half."""
     import dataclasses

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idiobench.catalog import IdiomKind, enumerate_matrix, feature_space
+from idiobench.catalog import COMPOP_SET, IdiomKind, enumerate_matrix, feature_space
 from idiobench.stats import (
     SLOWDOWN,
     SPEEDUP,
@@ -22,6 +22,7 @@ from idiobench.stats import (
     PerfChange,
     ShapeMismatch,
     ZeroDenominator,
+    _encode_rows,
     bootstrap_ci,
     classify_change,
     compute_rho,
@@ -356,6 +357,15 @@ def test_correlation_skips_constant_feature():
     report = feature_correlation(rows, permutations=100, seed=0)
     assert any(name == "scope" for name, _ in report.skipped)
     assert all(e.feature != "scope" for e in report.entries)
+
+
+@pytest.mark.parametrize("idiom", list(IdiomKind), ids=lambda idiom: idiom.value)
+def test_every_encoded_column_varies_over_the_full_matrix(idiom):
+    names, matrix = _encode_rows([(v, 1.0) for v in enumerate_matrix(idiom)], idiom)
+    assert [name for i, name in enumerate(names) if np.ptp(matrix[:, i]) == 0] == []
+    # A multiset dimension counts its elements: one column per operator.
+    compops = [name for name in names if name.startswith("compops[")]
+    assert len(compops) == (len(COMPOP_SET) if idiom is IdiomKind.CHAIN_COMPARISON else 0)
 
 
 def test_correlation_requires_enough_rows():
