@@ -24,6 +24,10 @@ from rows written behind a passing gate is not gated again.
 ``measure`` and ``load_grid`` return one ``TimingGrid`` per pair: its
 rows as stored, checked once. ``halves()`` splits them into the two
 post-warmup grids, as plain lists, that ``stats`` compares.
+
+The child-process layer is imported by the functions that start a
+child, so a caller that only reads a store or names the running
+interpreter does not load it.
 """
 
 from __future__ import annotations
@@ -32,14 +36,12 @@ import hashlib
 import json
 import logging
 import os
-import platform
-import subprocess
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
-from idiobench import child
 from idiobench.synth import CodePair, wrap_calibration, wrap_pair
 
 log = logging.getLogger(__name__)
@@ -142,7 +144,14 @@ def _child_env() -> dict[str, str]:
 
 @lru_cache(maxsize=8)
 def interpreter_id(interpreter: str) -> str:
-    """``<implementation>-<version>`` of ``interpreter``, e.g. ``cpython-3.11.7``."""
+    """``<implementation>-<version>`` of ``interpreter``, e.g. ``cpython-3.11.7``.
+
+    The running interpreter names itself; any other is asked in a child.
+    """
+    if interpreter == sys.executable:
+        return f"{sys.implementation.name}-{sys.version.split()[0]}"
+    from idiobench import child
+
     try:
         ident, _ = child.exec_json(
             [
@@ -161,7 +170,16 @@ def interpreter_id(interpreter: str) -> str:
 
 
 def host_id() -> str:
-    return platform.node() or "unknown-host"
+    """This host's network name, the value ``platform.node()`` gives."""
+    # Importing platform costs a stage milliseconds; only a host without
+    # os.uname (Windows) needs it.
+    if hasattr(os, "uname"):
+        node = os.uname().nodename
+    else:
+        import platform
+
+        node = platform.node()
+    return node or "unknown-host"
 
 
 def run_invocation(
@@ -173,6 +191,10 @@ def run_invocation(
         The parsed JSON record from the child's last stdout line, and
         the child's process id (distinct per invocation by construction).
     """
+    import subprocess
+
+    from idiobench import child
+
     try:
         return child.exec_json(
             [interpreter, "-I", "-S", "-c", module_source],
@@ -275,6 +297,8 @@ def calibrate(pair: CodePair, cfg: BenchConfig, interpreter: str | None = None) 
     both, so the amplification factor cancels out of any ratio of the
     two variants.
     """
+    from idiobench import child
+
     module = wrap_calibration(
         pair.non_idiomatic_source,
         pair.idiomatic_source,
@@ -321,6 +345,8 @@ def measure(
         durations in nanoseconds (amplification already divided out),
         the non-idiomatic k first.
     """
+    from idiobench import child
+
     cfg = cfg or BenchConfig()
     if not pair.idiomatic_source.strip():
         raise MissingIdiomatic(f"pair {pair.pair_id} has no idiomatic source")

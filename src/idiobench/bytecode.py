@@ -403,7 +403,7 @@ def _allowed_call(idiom: IdiomKind, node: ast.Call) -> bool:
 
 def r5_evidence(pair: CodePair) -> list[str]:
     """Expression work in the payload beyond the idiom's own template."""
-    tree = ast.parse(pair.non_idiomatic_source)
+    tree = child.parse(pair.non_idiomatic_source)
     evidence: list[str] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and not _allowed_call(pair.idiom, node):
@@ -488,12 +488,13 @@ def classify_root_cause(
 
 
 def diff_report(
-    pair: CodePair, probe: bool = True, interpreter: str | None = None
+    pair: CodePair, probe: bool = True, interpreter: str | None = None, aligned: bool = True
 ) -> dict[str, Any]:
     """Full analysis record for one pair, JSON-serializable.
 
     Both halves are disassembled, and with ``probe`` the runtime probe
-    runs, in one child job.
+    runs, in one child job. With ``aligned`` the record holds the
+    aligned opcode view.
     """
     if not pair.idiomatic_source.strip():
         raise ValueError(f"pair {pair.pair_id} has no idiomatic source")
@@ -507,12 +508,12 @@ def diff_report(
         root_cause, evidence = cause.primary, list(cause.evidence)
     except Unclassifiable as exc:
         root_cause, evidence = "Unclassifiable", [str(exc)]
-    return {
+    record = {
         "pair_id": pair.pair_id,
         "interpreter_id": bdiff.interpreter_id,
         "added": dict(sorted(bdiff.added.items())),
         "removed": dict(sorted(bdiff.removed.items())),
-        "aligned_view": bdiff.aligned_view(),
-        "root_cause": root_cause,
-        "evidence": evidence,
     }
+    if aligned:
+        record["aligned_view"] = bdiff.aligned_view()
+    return {**record, "root_cause": root_cause, "evidence": evidence}

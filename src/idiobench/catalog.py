@@ -23,6 +23,10 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 class IdiomKind(Enum):
     """The nine idiom transformations handled by this toolkit."""
 
+    # Members are singletons that compare by identity. Enum's own hash
+    # runs Python code on every dict lookup keyed by an idiom.
+    __hash__ = object.__hash__
+
     LIST_COMPREHENSION = "list-comprehension"
     SET_COMPREHENSION = "set-comprehension"
     DICT_COMPREHENSION = "dict-comprehension"
@@ -183,6 +187,9 @@ class _Fields(NamedTuple):
     flags: frozenset[str]
     bools: frozenset[str]
     legal: dict[str, frozenset]
+    #: Each count, choice and flag name to the index of its group among
+    #: counts, choices and flags.
+    group: dict[str, int]
 
 
 def _fields(space: Mapping[str, tuple]) -> _Fields:
@@ -194,7 +201,8 @@ def _fields(space: Mapping[str, tuple]) -> _Fields:
     flags = frozenset(n for n in legal if n.startswith("has_"))
     bools = frozenset(n for n in legal if n.startswith("is_"))
     choices = frozenset(legal) - counts - flags - bools - {"scope", "size"}
-    return _Fields(counts, choices, flags, bools, legal)
+    group = {name: i for i, names in enumerate((counts, choices, flags)) for name in names}
+    return _Fields(counts, choices, flags, bools, legal, group)
 
 
 _FIELDS: dict[IdiomKind, _Fields] = {
@@ -243,7 +251,8 @@ class FeatureVector:
             ("node_choices", self.node_choices, fields.choices),
             ("has_flags", self.has_flags, fields.flags),
         ):
-            if set(given) != names:
+            # A keys view compares with a set as a set, without a copy.
+            if given.keys() != names:
                 raise IllegalFeature(
                     f"{self.idiom.value}: {group} must be exactly "
                     f"{sorted(names)}, got {sorted(given)}"
@@ -376,9 +385,14 @@ def feature_space(idiom: IdiomKind) -> FeatureSpaceDescriptor:
 def vector_from_dims(idiom: IdiomKind, dims: Mapping[str, Any]) -> FeatureVector:
     """Build a validated vector from a flat dimension-name map."""
     fields = _FIELDS[idiom]
-    counts = {k: v for k, v in dims.items() if k in fields.counts}
-    choices = {k: v for k, v in dims.items() if k in fields.choices}
-    flags = {k: v for k, v in dims.items() if k in fields.flags}
+    counts: dict[str, Any] = {}
+    choices: dict[str, Any] = {}
+    flags: dict[str, Any] = {}
+    groups = (counts, choices, flags)
+    for name, value in dims.items():
+        index = fields.group.get(name)
+        if index is not None:
+            groups[index][name] = value
     if "num_compop" in fields.counts:
         # Validate before deriving the count: len() of a non-sequence
         # would raise TypeError, not IllegalFeature.

@@ -31,6 +31,7 @@ reads or writes there can reach the protocol.
 
 from __future__ import annotations
 
+import ast
 import atexit
 import json
 import os
@@ -432,6 +433,19 @@ def run_job(driver: str, job: Any, *, timeout: float, interpreter: str) -> Any:
     if not data:
         raise ChildError(f"bound no result: {_tail(stderr)}")
     return json.loads(data)
+
+
+# CPython 3.11.7 keeps the recursion depth of an AST conversion in state
+# that all threads share, so two threads parsing at once can fail with
+# "SystemError: AST constructor recursion depth mismatch".
+_PARSE_LOCK = threading.Lock()
+
+
+def parse(source: str) -> ast.Module:
+    """``ast.parse(source)``, one thread at a time, for code that runs on
+    ``imap``'s threads."""
+    with _PARSE_LOCK:
+        return ast.parse(source)
 
 
 def imap(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:

@@ -15,20 +15,21 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from idiobench.catalog import (
-    IdiomKind,
-    enumerate_matrix,
-    matrix_to_csv,
-    vector_from_row,
-)
-from idiobench.synth import CodePair, load_pairs, save_pair, synthesize
+if TYPE_CHECKING:
+    from idiobench.catalog import IdiomKind
+    from idiobench.synth import CodePair
+
+# Each subcommand imports what it uses, so that, say, ``report`` loads
+# neither the catalog nor the synthesizer.
 
 log = logging.getLogger("idiobench")
 
 
 def _idiom(value: str) -> IdiomKind:
+    from idiobench.catalog import IdiomKind
+
     try:
         return IdiomKind(value)
     except ValueError:
@@ -52,6 +53,9 @@ def _stratified_indices(total: int, limit: int, seed: int) -> list[int]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from idiobench.catalog import IdiomKind, enumerate_matrix, matrix_to_csv
+    from idiobench.synth import save_pair, synthesize
+
     idioms = [args.idiom] if args.idiom else list(IdiomKind)
     out_dir = Path(args.out)
     written = 0
@@ -75,6 +79,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_refactor(args: argparse.Namespace) -> int:
     from idiobench.refactor import NotApplicable, refactor_pair
+    from idiobench.synth import load_pairs, save_pair
 
     pairs = load_pairs(Path(args.in_dir))
     if not pairs:
@@ -96,6 +101,7 @@ def _cmd_refactor(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from idiobench import child
     from idiobench.equivalence import check, trial_sizes_for
+    from idiobench.synth import load_pairs
 
     pairs = load_pairs(Path(args.in_dir))
     if not pairs:
@@ -133,6 +139,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from idiobench.bench import BenchConfig, BenchError, TimingStore, measure
+    from idiobench.synth import load_pairs
 
     pairs = load_pairs(Path(args.in_dir))
     if not pairs:
@@ -161,6 +168,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     from idiobench.bench import TimingStore, load_grid
     from idiobench.stats import PairResult, perf_change, write_results_csv
+    from idiobench.synth import load_pairs
 
     store = TimingStore(Path(args.timings))
     pairs = {p.pair_id: p for p in load_pairs(Path(args.in_dir))}
@@ -213,6 +221,7 @@ def _class_percent(group: list[dict[str, str]]) -> dict[str, float]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from idiobench.catalog import vector_from_row
     from idiobench.stats import distribution_summary, feature_correlation
 
     by_idiom = _results_by_idiom(args.results)
@@ -272,6 +281,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from idiobench import child
     from idiobench.bench import ChildCrash, interpreter_id
     from idiobench.bytecode import diff_report
+    from idiobench.synth import load_pairs
 
     pairs = load_pairs(Path(args.in_dir))
     if not pairs:
@@ -280,21 +290,20 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
     def diff_one(pair: CodePair) -> tuple[dict[str, Any], str | None]:
         try:
-            return diff_report(pair, probe=args.probe), None
+            return diff_report(pair, probe=args.probe, aligned=args.aligned), None
         except (ChildCrash, ValueError, subprocess.TimeoutExpired) as exc:
             record = {"pair_id": pair.pair_id, "root_cause": "Error", "evidence": [str(exc)]}
             return record, str(exc)
 
     # Fill the cache before the threads start: it has no lock, so each
-    # thread would probe the interpreter on its own.
+    # thread would probe a target other than the running interpreter on
+    # its own.
     interpreter_id(child.resolve_interpreter())
     unclassified = errors = 0
     for pair, (record, error) in zip(pairs, child.imap(diff_one, pairs)):
         if error is not None:
             errors += 1
             log.error("pair %s: %s", pair.pair_id, error)
-        if not args.aligned:
-            record.pop("aligned_view", None)
         if record["root_cause"] == "Unclassifiable":
             unclassified += 1
         print(json.dumps(record))

@@ -40,6 +40,11 @@ def is_scaffold_name(name: str) -> bool:
     return bool(_SCAFFOLD_RE.match(name))
 
 
+#: The fields of a statement (or module, handler or match case) that
+#: hold statement lists, or the handlers and cases that hold them.
+_STATEMENT_LISTS = ("body", "orelse", "finalbody", "handlers", "cases")
+
+
 def _loop_target_names(*sources: str) -> frozenset[str]:
     """Names bound as for-statement targets in any of ``sources``.
 
@@ -51,14 +56,20 @@ def _loop_target_names(*sources: str) -> frozenset[str]:
     found: set[str] = set()
     for source in sources:
         try:
-            tree = ast.parse(source)
+            tree = child.parse(source)
         except SyntaxError:
             continue
-        for node in ast.walk(tree):
+        # A for statement sits only in a statement list, never inside an
+        # expression, so the scan descends through statement lists alone.
+        stack: list[ast.AST] = [tree]
+        while stack:
+            node = stack.pop()
             if isinstance(node, ast.For):
                 for sub in ast.walk(node.target):
                     if isinstance(sub, ast.Name):
                         found.add(sub.id)
+            for block in _STATEMENT_LISTS:
+                stack.extend(getattr(node, block, ()))
     return frozenset(found)
 
 

@@ -159,6 +159,45 @@ def test_host_id_nonempty():
     assert host_id()
 
 
+def test_host_id_is_the_platform_node_name():
+    import platform
+
+    assert host_id() == (platform.node() or "unknown-host")
+
+
+_ID_PROBE = "import sys; print('%s-%s' % (sys.implementation.name, sys.version.split()[0]))"
+
+
+def _probed_id(interpreter: str) -> str:
+    """The id an explicit ``-I -S`` child of ``interpreter`` reports."""
+    proc = subprocess.run(
+        [interpreter, "-I", "-S", "-c", _ID_PROBE], capture_output=True, text=True, check=True
+    )
+    return proc.stdout.strip()
+
+
+def _no_child(*args, **kwargs):
+    raise AssertionError("a child process was started")
+
+
+def test_the_running_interpreter_names_itself_without_a_child(monkeypatch):
+    monkeypatch.setattr(child, "exec_json", _no_child)
+    # The undecorated function: the cache may hold an earlier answer.
+    assert interpreter_id.__wrapped__(sys.executable) == _probed_id(sys.executable)
+
+
+def test_another_interpreter_is_probed_in_a_child(monkeypatch):
+    argvs = []
+
+    def probe(argv, **kwargs):
+        argvs.append(argv)
+        return "cpython-9.9.9", 1
+
+    monkeypatch.setattr(child, "exec_json", probe)
+    assert interpreter_id.__wrapped__("other-python") == "cpython-9.9.9"
+    assert [argv[:3] for argv in argvs] == [["other-python", "-I", "-S"]]
+
+
 @pytest.mark.parametrize("minor", range(8, 14), ids=lambda minor: f"3.{minor}")
 def test_protocol_runs_on_each_local_interpreter(minor, small_pair, local_pair, tmp_path):
     import dataclasses
@@ -706,6 +745,45 @@ def test_a_complete_gated_store_is_not_gated_again(tmp_path, small_pair, gate_lo
     _bench_cli(pairs_dir, store, gated=True)
     assert gate_log == []
     assert store.read_bytes() == text
+
+
+def test_a_store_keyed_by_probed_ids_starts_no_child(tmp_path, small_pair, monkeypatch, capsys):
+    """Rows whose interpreter id came from a probe child and whose host id
+    came from ``platform.node()``, as ``bench`` wrote them while it still
+    probed the running interpreter, are reused whole by a gated run."""
+    import platform
+
+    import idiobench.bench as bench_mod
+    import idiobench.equivalence as equivalence
+
+    ident = _probed_id(sys.executable)
+    pairs_dir, path = tmp_path / "pairs", tmp_path / "t.jsonl"
+    save_pair(small_pair, pairs_dir)
+    store = TimingStore(path)
+    for invocation in range(3):
+        store.record_invocation(
+            _record(
+                pair_id=small_pair.pair_id,
+                invocation=invocation,
+                k=4,
+                content=content_id(small_pair, ident),
+                min_iteration_ns=BenchConfig.min_iteration_ns,
+                max_repetitions=BenchConfig.max_repetitions,
+                gate="Equivalent",
+                interpreter_id=ident,
+                host_id=platform.node(),
+            )
+        )
+    text = path.read_bytes()
+    for module, name in (
+        (bench_mod, "run_invocation"),
+        (equivalence, "check"),
+        (child, "exec_json"),
+        (child, "exec_child"),
+    ):
+        monkeypatch.setattr(module, name, _no_child)
+    _bench_cli(pairs_dir, path, gated=True)
+    assert path.read_bytes() == text
 
 
 def test_rows_written_under_assume_equivalent_do_not_vouch_for_a_gated_run(

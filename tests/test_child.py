@@ -181,6 +181,51 @@ def test_concurrent_checks_match_sequential(pair_per_idiom):
     assert "Divergent" in sequential and "Equivalent" in sequential
 
 
+class _Finalized:
+    def __del__(self):
+        sum(range(50))
+
+
+def test_parse_survives_threads_parsing_at_once():
+    """Threads parse while the collector runs finalizers, which lets the
+    interpreter switch threads in the middle of an AST conversion."""
+    import gc
+    import threading
+    import time
+
+    source = "\n".join(
+        f"a_{i} = (a_{i - 1} if {i} else [x for x in range({i})])" for i in range(1, 300)
+    )
+    errors: list[str] = []
+
+    def work(deadline: float) -> None:
+        while time.monotonic() < deadline:
+            junk: list = [_Finalized() for _ in range(20)]
+            junk.append(junk)  # a cycle, so that the collector finalizes it
+            del junk
+            try:
+                child.parse(source)
+            except SystemError as exc:
+                errors.append(str(exc))
+                return
+
+    thresholds, interval = gc.get_threshold(), sys.getswitchinterval()
+    gc.set_threshold(50, 5, 5)
+    sys.setswitchinterval(1e-5)
+    try:
+        deadline = time.monotonic() + 2.0
+        threads = [threading.Thread(target=work, args=(deadline,)) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        gc.set_threshold(*thresholds)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
 def test_exec_fallback_without_fork(pair_per_idiom, monkeypatch):
     pairs = list(pair_per_idiom.values())
     forked = [(check(p), diff_report(p)) for p in pairs]

@@ -552,6 +552,53 @@ def test_post_bench_stages_import_no_scipy_and_report_no_numpy(pipeline_dir, tmp
     assert "| truth-value-test | 10 |" in out
 
 
+def _imported_by(*argv: str) -> set[str]:
+    """The modules ``python -m idiobench.cli ARGV`` imports, as ``-X importtime``
+    lists them."""
+    import os
+    from pathlib import Path
+
+    import idiobench
+
+    env = dict(os.environ, PYTHONPATH=str(Path(idiobench.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "idiobench.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+def test_report_imports_neither_catalog_nor_synth_and_analyze_skips_synth(
+    pipeline_dir, tmp_path, capsys
+):
+    from idiobench.bench import TimingStore
+
+    store = TimingStore(tmp_path / "timings.jsonl")
+    for index, pair in enumerate(load_pairs(pipeline_dir / "pairs")[:3]):
+        for invocation in range(3):
+            store.record_invocation(
+                _store_row(pair, invocation, 100.0 + 10.0 * index + invocation, 100.0 + invocation)
+            )
+    results = str(tmp_path / "results.csv")
+    args = ["--timings", str(store.path), "--in", str(pipeline_dir / "pairs")]
+    code, _ = _run(capsys, "stats", *args, "--bootstrap", "20", "--warmup", "1", "--out", results)
+    assert code == 0
+
+    report = _imported_by("report", "--results", results)
+    assert "idiobench" in report
+    assert not {"idiobench.catalog", "idiobench.synth"} & report
+    analyze = _imported_by("analyze", "--results", results)
+    assert "idiobench.catalog" in analyze and "idiobench.synth" not in analyze
+
+
 @pytest.fixture(scope="module")
 def mixed_dir(pipeline_dir, tmp_path_factory):
     """Good pairs plus a Divergent mutant, a crashing pair and a pair
@@ -612,7 +659,7 @@ def test_an_exception_in_one_pair_cancels_the_queued_pairs(pipeline_dir, monkeyp
     calls = []
     lock = threading.Lock()
 
-    def fake_diff_report(pair, probe=True, interpreter=None):
+    def fake_diff_report(pair, probe=True, interpreter=None, aligned=True):
         with lock:
             calls.append(pair.pair_id)
         if pair.pair_id == pairs[0].pair_id:

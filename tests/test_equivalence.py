@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 
 import pytest
@@ -10,6 +11,7 @@ from idiobench import child
 from idiobench.catalog import IdiomKind, enumerate_matrix
 from idiobench.equivalence import (
     DEFAULT_TRIAL_SIZES,
+    _loop_target_names,
     _run_snapshots,
     check,
     is_scaffold_name,
@@ -244,3 +246,102 @@ def test_mutants_keep_original_untouched():
     before = pair.idiomatic_source
     mutants(pair)
     assert pair.idiomatic_source == before
+
+
+def _walked_loop_target_names(*sources: str) -> frozenset[str]:
+    """The for-target scan over every AST node, as a reference."""
+    found: set[str] = set()
+    for source in sources:
+        try:
+            tree = ast.parse(source)
+        except SyntaxError:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.For):
+                for sub in ast.walk(node.target):
+                    if isinstance(sub, ast.Name):
+                        found.add(sub.id)
+    return frozenset(found)
+
+
+_NESTED_LOOPS = """\
+for a in x:
+    for b in x:
+        pass
+else:
+    for c in x:
+        pass
+if x:
+    for d in x:
+        pass
+elif y:
+    for e in x:
+        pass
+else:
+    for f, (g, *h) in x:
+        pass
+while x:
+    for i in x:
+        pass
+else:
+    for j in x:
+        pass
+try:
+    for k in x:
+        pass
+except ValueError:
+    for l in x:
+        pass
+else:
+    for m in x:
+        pass
+finally:
+    for n in x:
+        pass
+with x as o:
+    for p in x:
+        pass
+match x:
+    case [q]:
+        for r in x:
+            pass
+    case _:
+        for s in x:
+            pass
+def t():
+    for u in x:
+        pass
+async def v():
+    for w in x:
+        pass
+    async for aa in x:
+        pass
+    async with x:
+        for bb in x:
+            pass
+class Cc:
+    for dd in x:
+        pass
+ee = [ff for ff in x]
+gg = lambda: [hh for hh in x]
+for ii.jj, kk[0] in x:
+    pass
+"""
+
+
+def test_loop_target_scan_matches_a_full_walk_on_nested_statements():
+    names = _loop_target_names(_NESTED_LOOPS)
+    assert names == _walked_loop_target_names(_NESTED_LOOPS)
+    assert set("abcdefghijklmnprsuw") | {"bb", "dd", "ii", "kk"} == names
+
+
+def test_loop_target_scan_matches_a_full_walk_on_a_sample_and_its_mutants():
+    checked = 0
+    for idiom in IdiomKind:
+        for vector in sample_vectors(idiom, 40):
+            pair = refactor_pair(synthesize(vector))
+            for candidate in [pair, *(mutant for _, mutant in mutants(pair))]:
+                sources = (candidate.non_idiomatic_source, candidate.idiomatic_source)
+                assert _loop_target_names(*sources) == _walked_loop_target_names(*sources)
+                checked += 1
+    assert checked > 360

@@ -10,13 +10,13 @@ from pathlib import Path
 LEDGER = Path(__file__).resolve().parents[1] / "tools" / "ledger.py"
 
 
-def _record(seed: int, pair_cost: float, rho: float) -> dict:
+def _record(seed: int, pair_cost: float, rho: float, trace: int = 0) -> dict:
     return {
         "provenance": {
             "workload": "desk-quality",
             "seed": seed,
             "seconds": 36.0,
-            "trace": 0,
+            "trace": trace,
             "interpreter_id": "cpython-3.11.7",
             "python": "3.11.7",
             "cpu_count": 2,
@@ -67,3 +67,71 @@ def test_ledger_folds_two_runs_and_tier1(tmp_path):
     assert "per_layer" not in desk
     assert desk["provenance"]["interpreter_id"] == ["cpython-3.11.7"]
     assert desk["provenance"]["git_rev"] == [None]
+
+
+def _write_runs(directory: Path, runs: list[dict], tier1: str) -> None:
+    directory.mkdir()
+    for index, run in enumerate(runs):
+        (directory / f"result-{index}.json").write_text(json.dumps(run))
+    (directory / "tier1.txt").write_text(tier1 + "\n")
+
+
+def test_ledger_folds_the_parent_side_and_pairs_the_seeds_both_ran(tmp_path):
+    change, parent = tmp_path / "change", tmp_path / "parent"
+    # Seed 3 ran on the change only, seed 4 on the parent only; the
+    # traced run is not paired.
+    _write_runs(
+        change,
+        [
+            _record(1, 8.0, 1.0),
+            _record(2, 9.0, 1.2),
+            _record(3, 1.0, 1.1),
+            _record(5, 0.5, 1.0, trace=1),
+        ],
+        "4 failed, 263 passed in 90.00s",
+    )
+    _write_runs(
+        parent,
+        [_record(1, 10.0, 1.0), _record(2, 8.0, 1.2), _record(4, 99.0, 1.1)],
+        "5 failed, 262 passed in 95.00s",
+    )
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run(
+        [sys.executable, str(LEDGER), str(change), str(out), str(parent)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ledger = json.loads(out.read_text())
+
+    assert ledger["tier1"]["failed"] == 4
+    assert ledger["parent"]["tier1"]["failed"] == 5
+    assert ledger["workloads"]["desk-quality"]["seeds"] == [1, 2, 3, 5]
+    assert ledger["parent"]["workloads"]["desk-quality"]["seeds"] == [1, 2, 4]
+    parent_desk = ledger["parent"]["workloads"]["desk-quality"]
+    assert parent_desk["end_to_end"]["pair_cost"]["median"] == 10.0
+
+    desk = ledger["paired"]["desk-quality"]
+    assert desk["seeds"] == [1, 2]
+    assert desk["pair_cost"] == {
+        "change_median": 8.5,
+        "parent_median": 9.0,
+        "median_rel_change": (-0.2 + 0.125) / 2,
+        "change_lower": 1,
+    }
+    assert desk["peak_rss_mb"]["median_rel_change"] == 0.0
+    assert desk["peak_rss_mb"]["change_lower"] == 0
+
+
+def test_ledger_refuses_a_seed_run_twice_on_one_side(tmp_path):
+    change, parent = tmp_path / "change", tmp_path / "parent"
+    _write_runs(change, [_record(1, 8.0, 1.0)], "1 passed in 1.00s")
+    _write_runs(parent, [_record(1, 8.0, 1.0), _record(1, 9.0, 1.0)], "1 passed in 1.00s")
+    proc = subprocess.run(
+        [sys.executable, str(LEDGER), str(change), str(tmp_path / "out.json"), str(parent)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "seed 1" in proc.stderr
+    assert not (tmp_path / "out.json").exists()

@@ -1,6 +1,6 @@
 """Fold benchmark result records and a Tier-1 run into one ledger file.
 
-Usage: python tools/ledger.py INPUT_DIR OUTPUT_PATH
+Usage: python tools/ledger.py INPUT_DIR OUTPUT_PATH [PARENT_DIR]
 
 INPUT_DIR holds the records that ``perfbench/run.py`` writes as
 ``.perfbench/result-<workload>.json``, one file per run, under any name
@@ -17,6 +17,14 @@ n=4)``, as in ``perfbench/spread.py``) and every run's value. Next to
 them are the runs' outcome counts and their provenance: seeds, run
 length, interpreter, CPU count, git revision and source digest. The
 Tier-1 entry has the pass and fail counts and the wall time.
+
+PARENT_DIR, if given, holds the parent commit's records and Tier-1 line
+in the same layout; its fold goes under ``"parent"``. Then ``"paired"``
+compares the two sides per workload and end-to-end metric over the seeds
+that both ran untraced: each side's median over those seeds, the median
+per-seed relative change (change - parent) / parent, and the number of
+seeds on which the change is lower. A side may run a seed once per
+workload untraced.
 """
 
 from __future__ import annotations
@@ -100,18 +108,69 @@ def fold(records: list[dict[str, Any]], tier1: dict[str, Any]) -> dict[str, Any]
     return {"tier1": tier1, "workloads": workloads}
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__.splitlines()[2], file=sys.stderr)
-        return 2
-    in_dir, out_path = Path(argv[0]), Path(argv[1])
+def _untraced_by_seed(records: list[dict[str, Any]]) -> dict[str, dict[int, dict[str, float]]]:
+    """Workload to seed to end-to-end metric values, over untraced runs."""
+    out: dict[str, dict[int, dict[str, float]]] = {}
+    for record in records:
+        provenance = record["provenance"]
+        if provenance["trace"]:
+            continue
+        seeds = out.setdefault(provenance["workload"], {})
+        if provenance["seed"] in seeds:
+            raise ValueError(
+                f"two untraced {provenance['workload']} runs of seed {provenance['seed']}"
+            )
+        metrics = record["result"]["metrics"]
+        seeds[provenance["seed"]] = {name: metric["value"] for name, metric in metrics.items()}
+    return out
+
+
+def paired(records: list[dict[str, Any]], parent_records: list[dict[str, Any]]) -> dict[str, Any]:
+    change, parent = _untraced_by_seed(records), _untraced_by_seed(parent_records)
+    out: dict[str, Any] = {}
+    for name in sorted(change.keys() & parent.keys()):
+        seeds = sorted(change[name].keys() & parent[name].keys())
+        if not seeds:
+            continue
+        entry: dict[str, Any] = {"seeds": seeds}
+        for metric in change[name][seeds[0]]:
+            new = [change[name][seed][metric] for seed in seeds]
+            old = [parent[name][seed][metric] for seed in seeds]
+            entry[metric] = {
+                "change_median": statistics.median(new),
+                "parent_median": statistics.median(old),
+                "median_rel_change": statistics.median((n - o) / o for n, o in zip(new, old)),
+                "change_lower": sum(n < o for n, o in zip(new, old)),
+            }
+        out[name] = entry
+    return out
+
+
+def _read(in_dir: Path) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+    """A directory's run records and its parsed Tier-1 line."""
     paths = sorted(in_dir.glob("result-*.json"))
     if not paths:
-        print(f"no result-*.json files in {in_dir}", file=sys.stderr)
-        return 1
+        raise FileNotFoundError(f"no result-*.json files in {in_dir}")
     records = [json.loads(p.read_text(encoding="utf-8")) for p in paths]
     tier1 = parse_tier1((in_dir / "tier1.txt").read_text(encoding="utf-8").strip().splitlines()[-1])
-    out_path.write_text(json.dumps(fold(records, tier1), indent=2) + "\n", encoding="utf-8")
+    return records, tier1
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (2, 3):
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    try:
+        records, tier1 = _read(Path(argv[0]))
+        ledger = fold(records, tier1)
+        if len(argv) == 3:
+            parent_records, parent_tier1 = _read(Path(argv[2]))
+            ledger["parent"] = fold(parent_records, parent_tier1)
+            ledger["paired"] = paired(records, parent_records)
+    except (OSError, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    Path(argv[1]).write_text(json.dumps(ledger, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
