@@ -67,10 +67,6 @@ class EquivalenceGate(BenchError):
     """The pair failed its behavioral check and override was not set."""
 
 
-class MissingIdiomatic(BenchError, ValueError):
-    """The pair has no idiomatic half to measure."""
-
-
 @dataclass(frozen=True)
 class BenchConfig:
     n_invocations: int = 50
@@ -348,8 +344,7 @@ def measure(
     from idiobench import child
 
     cfg = cfg or BenchConfig()
-    if not pair.idiomatic_source.strip():
-        raise MissingIdiomatic(f"pair {pair.pair_id} has no idiomatic source")
+    non_idiomatic, idiomatic = pair.halves()
     interp = child.resolve_interpreter(cfg.interpreter)
     interp_id = interpreter_id(interp)
     key = content_id(pair, interp_id)
@@ -387,8 +382,8 @@ def measure(
     for invocation, row in enumerate(reused):
         if row is None:
             module = wrap_pair(
-                pair.non_idiomatic_source,
-                pair.idiomatic_source,
+                non_idiomatic,
+                idiomatic,
                 pair.setup_source,
                 pair.scope_mode,
                 invocation=invocation,

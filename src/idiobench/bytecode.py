@@ -7,7 +7,7 @@ which returns one record per instruction, and the two streams are
 compared as opcode multisets plus an aligned view. One function,
 ``_job``, builds, runs and decodes every child job here: it disassembles
 the sources it is given and, given a pair, runs the runtime probe on it,
-so ``diff_report`` needs one job per pair.
+so ``diff_pair`` needs one job per pair, probe included.
 
 The classifier assigns one primary cause per pair:
 
@@ -91,6 +91,7 @@ class BytecodeDiff:
     added: Counter
     removed: Counter
     interpreter_id: str
+    probe: RuntimeProbe | None = None
 
     def aligned_view(self) -> list[str]:
         """LCS alignment of the two opcode streams for human review."""
@@ -288,38 +289,30 @@ def disassemble_source(
     return _job([source], scope_mode, interpreter)[0][0]
 
 
-def diff(
-    non_id: list[Instruction],
-    idio: list[Instruction],
-    pair_id: str = "",
-    interpreter: str | None = None,
+def diff_pair(
+    pair: CodePair, interpreter: str | None = None, probe: bool = False
 ) -> BytecodeDiff:
-    """Multiset opcode difference of the idiomatic stream vs the other.
+    """Multiset opcode difference of ``pair``'s idiomatic stream vs the other.
 
-    ``added`` holds opcodes with higher multiplicity in the idiomatic
-    stream, ``removed`` the opposite direction.
+    Both halves are disassembled, and with ``probe`` the runtime probe
+    runs, in one child job. ``added`` holds opcodes with higher
+    multiplicity in the idiomatic stream, ``removed`` the opposite
+    direction.
     """
+    (non_id, idio), found = _job(
+        list(pair.halves()), pair.scope_mode, interpreter, pair if probe else None
+    )
     count_a = Counter(i.opname for i in non_id)
     count_b = Counter(i.opname for i in idio)
-    added = count_b - count_a
-    removed = count_a - count_b
-    interp = child.resolve_interpreter(interpreter)
     return BytecodeDiff(
-        pair_id=pair_id,
-        instructions_non_id=list(non_id),
-        instructions_id=list(idio),
-        added=added,
-        removed=removed,
-        interpreter_id=interpreter_id(interp),
+        pair_id=pair.pair_id,
+        instructions_non_id=non_id,
+        instructions_id=idio,
+        added=count_b - count_a,
+        removed=count_a - count_b,
+        interpreter_id=interpreter_id(child.resolve_interpreter(interpreter)),
+        probe=found,
     )
-
-
-def diff_pair(pair: CodePair, interpreter: str | None = None) -> BytecodeDiff:
-    if not pair.idiomatic_source.strip():
-        raise ValueError(f"pair {pair.pair_id} has no idiomatic source")
-    halves = [pair.non_idiomatic_source, pair.idiomatic_source]
-    (non_id, idio), _ = _job(halves, pair.scope_mode, interpreter)
-    return diff(non_id, idio, pair_id=pair.pair_id, interpreter=interpreter)
 
 
 # ============================================================
@@ -490,21 +483,13 @@ def classify_root_cause(
 def diff_report(
     pair: CodePair, probe: bool = True, interpreter: str | None = None, aligned: bool = True
 ) -> dict[str, Any]:
-    """Full analysis record for one pair, JSON-serializable.
-
-    Both halves are disassembled, and with ``probe`` the runtime probe
-    runs, in one child job. With ``aligned`` the record holds the
+    """Full analysis record for one pair, JSON-serializable: its
+    ``diff_pair`` classified. With ``aligned`` the record holds the
     aligned opcode view.
     """
-    if not pair.idiomatic_source.strip():
-        raise ValueError(f"pair {pair.pair_id} has no idiomatic source")
-    halves = [pair.non_idiomatic_source, pair.idiomatic_source]
-    (non_id, idio), probe_result = _job(
-        halves, pair.scope_mode, interpreter, pair if probe else None
-    )
-    bdiff = diff(non_id, idio, pair_id=pair.pair_id, interpreter=interpreter)
+    bdiff = diff_pair(pair, interpreter, probe)
     try:
-        cause = classify_root_cause(bdiff, pair, probe_result)
+        cause = classify_root_cause(bdiff, pair, bdiff.probe)
         root_cause, evidence = cause.primary, list(cause.evidence)
     except Unclassifiable as exc:
         root_cause, evidence = "Unclassifiable", [str(exc)]

@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 # ============================================================
@@ -469,33 +470,25 @@ def feature_cell(value: Any) -> str:
     return str(value)
 
 
+@lru_cache(maxsize=None)
+def _cell_levels(idiom: IdiomKind) -> dict[str, dict[str, Any]]:
+    """Per dimension of ``idiom``, each level's :func:`feature_cell` text
+    to that level."""
+    return {
+        name: {feature_cell(level): level for level in levels}
+        for name, levels in _SPACES[idiom].items()
+    }
+
+
 def vector_from_row(row: Mapping[str, str]) -> FeatureVector | None:
     """The vector that a CSV row's ``idiom`` and :func:`feature_cell`
-    columns encode, or None if a cell is blank or not a legal value."""
+    columns encode, or None if a cell is not the exact text of a legal
+    value."""
     try:
         idiom = IdiomKind(row["idiom"])
-    except ValueError:
-        return None
-    dims: dict[str, Any] = {}
-    for name, levels in _SPACES[idiom].items():
-        raw = row.get(name, "")
-        if raw == "":
-            return None
-        sample = levels[0]
-        try:
-            if isinstance(sample, tuple):
-                dims[name] = tuple(raw.split("|"))
-            elif isinstance(sample, bool):
-                dims[name] = bool(int(raw))
-            elif isinstance(sample, int):
-                dims[name] = int(raw)
-            else:
-                dims[name] = raw
-        except ValueError:
-            return None
-    try:
+        dims = {name: levels[row.get(name)] for name, levels in _cell_levels(idiom).items()}
         return vector_from_dims(idiom, dims)
-    except IllegalFeature:
+    except (KeyError, ValueError):
         return None
 
 

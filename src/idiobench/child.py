@@ -15,8 +15,9 @@ Two kinds of child run here:
   Where ``os.fork`` is missing, the same job runner runs once in a fresh
   ``-I -S`` exec per job instead.
 - **Fresh execs** (``exec_child``, ``exec_json``) run an argv to
-  completion. Timing invocations use them, since the measurement protocol
-  needs a fresh interpreter per invocation.
+  completion, reading ``/dev/null`` unless given input. Timing
+  invocations use them, since the measurement protocol needs a fresh
+  interpreter per invocation.
 
 A job's driver is source run as ``__main__`` with its input bound to the
 global ``job``; it answers by binding the global ``result``. A job's
@@ -92,7 +93,8 @@ def exec_child(
 ) -> tuple[str, str, int]:
     """Run ``argv`` to completion in a fresh process.
 
-    Without ``input`` the child inherits stdin.
+    Without ``input`` the child reads ``/dev/null``, so it cannot wait on
+    the caller's stdin.
 
     Returns:
         (stdout, stderr, pid).
@@ -104,7 +106,7 @@ def exec_child(
     """
     proc = subprocess.Popen(
         argv,
-        stdin=subprocess.PIPE if input is not None else None,
+        stdin=subprocess.PIPE if input is not None else subprocess.DEVNULL,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -453,15 +455,11 @@ def imap(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
     ``_POOL_SIZE`` threads.
 
     An exception from ``fn``, or the consumer leaving the loop, cancels
-    the items not yet started and waits for the running ones.
+    the items not yet started (``Executor.map``'s iterator does so when it
+    raises or is closed) and waits for the running ones.
     """
     # Imported here: the stages that never call this skip its import cost.
     from concurrent.futures import ThreadPoolExecutor
 
-    pool = ThreadPoolExecutor(max_workers=_POOL_SIZE)
-    try:
-        futures = [pool.submit(fn, item) for item in items]
-        for future in futures:
-            yield future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(max_workers=_POOL_SIZE) as pool:
+        yield from pool.map(fn, items)

@@ -47,6 +47,16 @@ def _stratified_indices(total: int, limit: int, seed: int) -> list[int]:
     return sorted((offset + (i * total) // limit) % total for i in range(limit))
 
 
+def _load_pairs(in_dir: str) -> list[CodePair]:
+    """The pairs in ``in_dir``; a stage given none fails."""
+    from idiobench.synth import load_pairs
+
+    pairs = load_pairs(Path(in_dir))
+    if not pairs:
+        raise FileNotFoundError(f"no pair files found in {in_dir}")
+    return pairs
+
+
 # ============================================================
 # Subcommands
 # ============================================================
@@ -79,19 +89,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_refactor(args: argparse.Namespace) -> int:
     from idiobench.refactor import NotApplicable, refactor_pair
-    from idiobench.synth import load_pairs, save_pair
+    from idiobench.synth import save_pair
 
-    pairs = load_pairs(Path(args.in_dir))
-    if not pairs:
-        log.error("no pair files found in %s", args.in_dir)
-        return 1
+    pairs = _load_pairs(args.in_dir)
     failures = 0
     for pair in pairs:
         if pair.idiomatic_source.strip() and not args.force:
             continue
         try:
             save_pair(refactor_pair(pair), Path(args.in_dir))
-        except NotApplicable as exc:
+        except (NotApplicable, SyntaxError) as exc:
             failures += 1
             log.error("pair %s: %s", pair.pair_id, exc)
     print(json.dumps({"refactored": len(pairs) - failures, "failed": failures}))
@@ -101,12 +108,8 @@ def _cmd_refactor(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from idiobench import child
     from idiobench.equivalence import check, trial_sizes_for
-    from idiobench.synth import load_pairs
 
-    pairs = load_pairs(Path(args.in_dir))
-    if not pairs:
-        log.error("no pair files found in %s", args.in_dir)
-        return 1
+    pairs = _load_pairs(args.in_dir)
 
     def check_one(pair: CodePair) -> tuple[dict[str, Any], str | None]:
         sizes = None if args.trials is None else trial_sizes_for(pair, args.trials)
@@ -139,12 +142,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from idiobench.bench import BenchConfig, BenchError, TimingStore, measure
-    from idiobench.synth import load_pairs
 
-    pairs = load_pairs(Path(args.in_dir))
-    if not pairs:
-        log.error("no pair files found in %s", args.in_dir)
-        return 1
+    pairs = _load_pairs(args.in_dir)
     cfg = BenchConfig(
         n_invocations=args.n,
         k_iterations=args.k,
@@ -158,7 +157,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         try:
             measure(pair, cfg, store, assume_equivalent=args.assume_equivalent)
             log.info("[%d/%d] %s done", index, len(pairs), pair.pair_id)
-        except BenchError as exc:
+        except (BenchError, ValueError, SyntaxError) as exc:
             failures += 1
             log.error("pair %s: %s", pair.pair_id, exc)
     print(json.dumps({"measured": len(pairs) - failures, "failed": failures}))
@@ -281,12 +280,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from idiobench import child
     from idiobench.bench import ChildCrash, interpreter_id
     from idiobench.bytecode import diff_report
-    from idiobench.synth import load_pairs
 
-    pairs = load_pairs(Path(args.in_dir))
-    if not pairs:
-        log.error("no pair files found in %s", args.in_dir)
-        return 1
+    pairs = _load_pairs(args.in_dir)
 
     def diff_one(pair: CodePair) -> tuple[dict[str, Any], str | None]:
         try:

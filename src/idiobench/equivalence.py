@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from idiobench import child
-from idiobench.catalog import SIZES, IdiomKind
+from idiobench.catalog import COMPREHENSIONS, SIZES, IdiomKind
 from idiobench.synth import CodePair, scoped, setup_for_size
 
 #: Sizes every sized pair is re-checked at; chosen small so trials stay
@@ -194,8 +194,7 @@ def check(
         EquivalenceReport with per-trial outcomes; status is
         ``Equivalent`` only if every trial matched.
     """
-    if not pair.idiomatic_source.strip():
-        raise ValueError(f"pair {pair.pair_id} has no idiomatic source")
+    non_idiomatic, idiomatic = pair.halves()
     trial_list = list(sizes) if sizes is not None else trial_sizes_for(pair)
     setups = []
     for size in trial_list:
@@ -207,12 +206,8 @@ def check(
     interp = child.resolve_interpreter(interpreter)
     trials: list[TrialOutcome] = []
     try:
-        snaps_a = _run_snapshots(
-            pair.non_idiomatic_source, setups, pair.scope_mode, timeout, interp
-        )
-        snaps_b = _run_snapshots(
-            pair.idiomatic_source, setups, pair.scope_mode, timeout, interp
-        )
+        snaps_a = _run_snapshots(non_idiomatic, setups, pair.scope_mode, timeout, interp)
+        snaps_b = _run_snapshots(idiomatic, setups, pair.scope_mode, timeout, interp)
     except (CheckError, SyntaxError, subprocess.TimeoutExpired) as exc:
         return EquivalenceReport(
             pair_id=pair.pair_id,
@@ -220,7 +215,7 @@ def check(
             trials=[TrialOutcome(size=None, status="error", detail={"reason": str(exc)})],
         )
 
-    excluded = _loop_target_names(pair.non_idiomatic_source, pair.idiomatic_source)
+    excluded = _loop_target_names(non_idiomatic, idiomatic)
     for size, raw_a, raw_b in zip(trial_list, snaps_a, snaps_b):
         a, b = _comparable(raw_a, excluded), _comparable(raw_b, excluded)
         if a == b:
@@ -369,18 +364,13 @@ def _scramble_for_targets(tree: ast.Module) -> bool:
 
 
 _MUTATORS: dict[IdiomKind, list[tuple[str, Any]]] = {
-    IdiomKind.LIST_COMPREHENSION: [
-        ("bump-element", _bump_comprehension_element),
-        ("negate-condition", _negate_first_comp_condition),
-    ],
-    IdiomKind.SET_COMPREHENSION: [
-        ("bump-element", _bump_comprehension_element),
-        ("negate-condition", _negate_first_comp_condition),
-    ],
-    IdiomKind.DICT_COMPREHENSION: [
-        ("bump-element", _bump_comprehension_element),
-        ("negate-condition", _negate_first_comp_condition),
-    ],
+    **dict.fromkeys(
+        COMPREHENSIONS,
+        [
+            ("bump-element", _bump_comprehension_element),
+            ("negate-condition", _negate_first_comp_condition),
+        ],
+    ),
     IdiomKind.CHAIN_COMPARISON: [("negate-last-op", _negate_last_compare_op)],
     IdiomKind.TRUTH_VALUE_TEST: [("negate-test", _negate_test)],
     IdiomKind.LOOP_ELSE: [("negate-break", _negate_break_condition)],
@@ -397,11 +387,10 @@ def mutants(pair: CodePair) -> list[tuple[str, CodePair]]:
     operator, off-by-one element, dropped clause effect); the checker is
     expected to flag every one as Divergent on the default trial sizes.
     """
-    if not pair.idiomatic_source.strip():
-        raise ValueError(f"pair {pair.pair_id} has no idiomatic source")
+    idiomatic = pair.halves()[1]
     out: list[tuple[str, CodePair]] = []
     for label, mutate in _MUTATORS[pair.idiom]:
-        tree = ast.parse(pair.idiomatic_source)
+        tree = ast.parse(idiomatic)
         if not mutate(tree):
             continue
         ast.fix_missing_locations(tree)

@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from idiobench.catalog import (
     EMPTY_VALUE_BY_NAME,
@@ -25,6 +25,10 @@ from idiobench.catalog import (
 
 #: Bumped whenever template text changes; part of every pair id.
 TEMPLATE_VERSION = 1
+
+
+class MissingIdiomatic(ValueError):
+    """A pair has no idiomatic half to check, time or diff."""
 
 
 @dataclass
@@ -65,6 +69,16 @@ class CodePair:
             scope_mode=data.get("scope_mode", "Local"),
             notes=data.get("notes", ""),
         )
+
+    def halves(self) -> tuple[str, str]:
+        """The (non-idiomatic, idiomatic) sources.
+
+        Raises:
+            MissingIdiomatic: the idiomatic half is blank.
+        """
+        if not self.idiomatic_source.strip():
+            raise MissingIdiomatic(f"pair {self.pair_id} has no idiomatic source")
+        return self.non_idiomatic_source, self.idiomatic_source
 
 
 def save_pair(pair: CodePair, directory: Path) -> Path:
@@ -145,6 +159,39 @@ def _bump(value: Any) -> Any:
     raise IllegalFeature(f"cannot grow operand of type {type(value).__name__}")
 
 
+def _less(value: Any) -> Any:
+    if not isinstance(value, int):
+        raise IllegalFeature("ordering after membership is not renderable")
+    return value - 1
+
+
+#: How an operand is made from the one before it. An alias holds the same
+#: value and is written as the previous operand's name.
+_OPERAND_KINDS: dict[str, Callable[[Any], Any]] = {
+    "same": lambda value: value,
+    "bump": _bump,
+    "less": _less,
+    "alias": lambda value: value,
+    "list": lambda value: [value],
+    "bumped list": lambda value: [_bump(value)],
+}
+
+#: Per operator: the operand kind that makes its link hold, then the kind
+#: that makes it fail.
+_CHAIN_OPERANDS: dict[str, tuple[str, str]] = {
+    "==": ("same", "bump"),
+    "!=": ("bump", "same"),
+    "<": ("bump", "same"),
+    "<=": ("same", "less"),
+    ">": ("less", "same"),
+    ">=": ("same", "bump"),
+    "is": ("alias", "bump"),
+    "is not": ("bump", "alias"),
+    "in": ("list", "bumped list"),
+    "not in": ("bumped list", "list"),
+}
+
+
 def _chain_operands(compops: tuple[str, ...], is_true: bool) -> tuple[list[str], list[str]]:
     """Choose operand values so the whole chain evaluates to ``is_true``.
 
@@ -158,50 +205,11 @@ def _chain_operands(compops: tuple[str, ...], is_true: bool) -> tuple[list[str],
     current: Any = 10
     for index, op in enumerate(compops):
         name = f"c_{index + 1}"
-        make_true = is_true or index < len(compops) - 1
-        if make_true:
-            if op == "==":
-                nxt, src = current, repr(current)
-            elif op in ("!=", "<", "is not"):
-                nxt = _bump(current)
-                src = repr(nxt)
-            elif op in ("<=", ">="):
-                nxt, src = current, repr(current)
-            elif op == ">":
-                if not isinstance(current, int):
-                    raise IllegalFeature("ordering after membership is not renderable")
-                nxt = current - 1
-                src = repr(nxt)
-            elif op == "is":
-                nxt, src = current, names[-1]
-            elif op == "in":
-                nxt = [current]
-                src = repr(nxt)
-            else:  # not in
-                nxt = [_bump(current)]
-                src = repr(nxt)
-        else:
-            if op in ("==", ">=", "is"):
-                nxt = _bump(current)
-                src = repr(nxt)
-            elif op in ("!=", "<", ">"):
-                nxt, src = current, repr(current)
-            elif op == "<=":
-                if not isinstance(current, int):
-                    raise IllegalFeature("ordering after membership is not renderable")
-                nxt = current - 1
-                src = repr(nxt)
-            elif op == "is not":
-                nxt, src = current, names[-1]
-            elif op == "in":
-                nxt = [_bump(current)]
-                src = repr(nxt)
-            else:  # not in
-                nxt = [current]
-                src = repr(nxt)
-        lines.append(f"{name} = {src}")
+        holds = is_true or index < len(compops) - 1
+        kind = _CHAIN_OPERANDS[op][0 if holds else 1]
+        current = _OPERAND_KINDS[kind](current)
+        lines.append(f"{name} = {names[-1] if kind == 'alias' else repr(current)}")
         names.append(name)
-        current = nxt
     return lines, names
 
 

@@ -3,8 +3,10 @@ local interpreters."""
 
 from __future__ import annotations
 
+import hashlib
 import os
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -21,6 +23,14 @@ def stratified(items: list, limit: int, seed: int = 0) -> list:
 
 def sample_vectors(idiom: IdiomKind, limit: int, seed: int = 0) -> list:
     return stratified(enumerate_matrix(idiom), limit, seed)
+
+
+def digest(parts: Iterable[str]) -> str:
+    """sha256 of the parts, each followed by a NUL byte."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode("utf-8") + b"\0")
+    return h.hexdigest()
 
 
 def pyenv_interpreter(minor: int) -> str | None:

@@ -322,6 +322,37 @@ def test_measure_produces_full_grids(tmp_path, small_pair):
     assert grid.interpreter_id.startswith("cpython-")
 
 
+_MEASURE_A_PAIR_THAT_READS_STDIN = """\
+from idiobench.bench import BenchConfig, measure
+from idiobench.catalog import IdiomKind
+from idiobench.synth import CodePair
+
+payload = "try:\\n    r_0 = input()\\nexcept EOFError:\\n    r_0 = None\\n"
+pair = CodePair("reads-stdin", IdiomKind.TRUTH_VALUE_TEST, None, "", payload, payload, "Global")
+cfg = BenchConfig(n_invocations=2, k_iterations=2, warmup=0, min_iteration_ns=10_000, timeout_s=10)
+print(len(measure(pair, cfg).rows))
+"""
+
+
+def test_timing_children_do_not_read_the_stages_stdin():
+    # The write end stays open, so a child reading this stdin would wait
+    # until its timeout.
+    read_end, write_end = os.pipe()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _MEASURE_A_PAIR_THAT_READS_STDIN],
+            stdin=read_end,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"]
+
+
 def _assert_one_line_per_invocation(path, n):
     rows = [json.loads(line) for line in Path(path).read_text().splitlines()]
     assert sorted(row["invocation"] for row in rows) == list(range(n))

@@ -16,7 +16,6 @@ from idiobench.bytecode import (
     Unclassifiable,
     canonical,
     classify_root_cause,
-    diff,
     diff_pair,
     diff_report,
     disassemble_source,
@@ -232,6 +231,14 @@ def test_probe_flags_injected_bool_override():
     assert "__bool__" in methods
     assert "__eq__" in methods
     assert all(f.definer_module != "builtins" for f in probe.flagged)
+
+
+def test_diff_pair_carries_the_probe_it_ran(pair_per_idiom):
+    pair = pair_per_idiom[IdiomKind.TRUTH_VALUE_TEST]
+    plain, probed = diff_pair(pair), diff_pair(pair, probe=True)
+    assert plain.probe is None
+    assert probed.probe == runtime_probe(pair)
+    assert (probed.added, probed.removed) == (plain.added, plain.removed)
 
 
 # ============================================================

@@ -189,6 +189,18 @@ def test_matrix_csv_rows_read_back_to_their_vectors(idiom):
     assert [vector_from_row(row) for row in rows] == enumerate_matrix(idiom)
 
 
+@pytest.mark.parametrize(
+    ("name", "cell"), [("num_target", " 1"), ("num_subscript", "05"), ("has_starred", "2")]
+)
+def test_a_cell_feature_cell_never_writes_is_not_a_vector(name, cell):
+    buf = io.StringIO()
+    matrix_to_csv(IdiomKind.FOR_MULTI_TARGETS, buf)
+    buf.seek(0)
+    row = next(csv.DictReader(buf))
+    assert vector_from_row(row) is not None
+    assert vector_from_row({**row, name: cell}) is None
+
+
 def test_matrix_csv_row_count():
     buf = io.StringIO()
     rows = matrix_to_csv(IdiomKind.LOOP_ELSE, buf)

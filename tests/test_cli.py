@@ -493,6 +493,49 @@ def test_diff_isolates_a_pair_without_idiomatic_half(tmp_path, capsys):
     assert records[0]["root_cause"] != "Error" and records[2]["root_cause"] != "Error"
 
 
+@pytest.mark.parametrize("assume_equivalent", [False, True])
+def test_bench_counts_a_bad_pair_file_and_goes_on(tmp_path, capsys, assume_equivalent):
+    import dataclasses
+
+    from idiobench.bench import TimingStore
+    from idiobench.synth import save_pair
+
+    pairs_dir = tmp_path / "pairs"
+    assert main(["gen", "--idiom", "loop-else", "--limit", "3", "--out", str(pairs_dir)]) == 0
+    assert main(["refactor", "--in", str(pairs_dir)]) == 0
+    capsys.readouterr()
+    pairs = load_pairs(pairs_dir)
+    # An unknown scope raises ValueError; an idiomatic half that does not
+    # compile fails the gate, or raises SyntaxError under --assume-equivalent.
+    save_pair(dataclasses.replace(pairs[0], scope_mode="local"), pairs_dir)
+    save_pair(dataclasses.replace(pairs[2], idiomatic_source="r_0 = (\n"), pairs_dir)
+    timings = tmp_path / "timings.jsonl"
+    argv = ["bench", "--in", str(pairs_dir), "--timings", str(timings), "--n", "2", "--k", "3"]
+    argv += ["--warmup", "1", "--min-iteration-ns", "100000"]
+    code, out = _run(capsys, *argv, *(["--assume-equivalent"] if assume_equivalent else []))
+    assert code == 1
+    assert json.loads(out.strip().splitlines()[-1]) == {"measured": 1, "failed": 2}
+    assert TimingStore(timings).pair_ids() == [pairs[1].pair_id]
+
+
+def test_refactor_counts_a_pair_that_does_not_parse_and_goes_on(tmp_path, capsys):
+    import dataclasses
+
+    from idiobench.synth import save_pair
+
+    pairs_dir = tmp_path / "pairs"
+    assert main(["gen", "--idiom", "loop-else", "--limit", "2", "--out", str(pairs_dir)]) == 0
+    broken, valid = load_pairs(pairs_dir)
+    save_pair(dataclasses.replace(broken, non_idiomatic_source="r_0 = (\n"), pairs_dir)
+    capsys.readouterr()
+    code, out = _run(capsys, "refactor", "--in", str(pairs_dir))
+    assert code == 1
+    assert json.loads(out) == {"refactored": 1, "failed": 1}
+    by_id = {pair.pair_id: pair for pair in load_pairs(pairs_dir)}
+    assert by_id[valid.pair_id].idiomatic_source.strip()
+    assert not by_id[broken.pair_id].idiomatic_source
+
+
 _MODULES_AFTER_MAIN = """\
 import json, sys
 from idiobench.cli import main

@@ -21,7 +21,7 @@ from idiobench.equivalence import (
 from idiobench.refactor import refactor_pair
 from idiobench.synth import CodePair, synthesize
 
-from conftest import sample_vectors
+from conftest import digest, sample_vectors
 
 
 def test_scaffold_name_classification():
@@ -246,6 +246,18 @@ def test_mutants_keep_original_untouched():
     before = pair.idiomatic_source
     mutants(pair)
     assert pair.idiomatic_source == before
+
+
+def test_mutants_of_the_gen_limit_40_sample_are_pinned():
+    parts = [
+        part
+        for idiom in IdiomKind
+        for vector in sample_vectors(idiom, 40)
+        for label, mutant in mutants(refactor_pair(synthesize(vector)))
+        for part in (label, mutant.pair_id, mutant.idiomatic_source, mutant.notes)
+    ]
+    assert len(parts) == 4 * 456
+    assert digest(parts) == "e187580b7f45fcd9006dd9ef9f002a6a82a88dcf373d98c5aaa2490d299e5e25"
 
 
 def _walked_loop_target_names(*sources: str) -> frozenset[str]:

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from idiobench.catalog import IdiomKind, enumerate_matrix
 from idiobench.synth import (
+    TEMPLATE_VERSION,
     CodePair,
+    MissingIdiomatic,
     load_pairs,
     save_pair,
     scoped,
@@ -24,7 +26,7 @@ from idiobench.synth import (
     wrap_pair,
 )
 
-from conftest import sample_vectors
+from conftest import digest, sample_vectors
 
 
 def _exec_pair_side(source: str, setup: str) -> dict:
@@ -203,6 +205,28 @@ def test_pair_ids_unique_across_idioms():
             pair_id = synthesize(vector).pair_id
             assert pair_id not in seen
             seen.add(pair_id)
+
+
+def test_every_generated_pair_is_pinned():
+    """Ids, setups and payloads of the full matrix, at TEMPLATE_VERSION 1.
+
+    A template edit changes this digest, and must bump TEMPLATE_VERSION.
+    """
+    pairs = [synthesize(v) for idiom in IdiomKind for v in enumerate_matrix(idiom)]
+    assert len(pairs) == 24126 and TEMPLATE_VERSION == 1
+    assert digest(
+        part
+        for pair in pairs
+        for part in (pair.pair_id, pair.setup_source, pair.non_idiomatic_source)
+    ) == "ca075cf8599f6840541f8f20f5c7a6b2e0106af9371f8bdeffe517796782b282"
+
+
+def test_halves_need_the_idiomatic_half():
+    pair = synthesize(enumerate_matrix(IdiomKind.LOOP_ELSE)[0])
+    with pytest.raises(MissingIdiomatic, match=f"^pair {pair.pair_id} has no idiomatic source$"):
+        pair.halves()
+    filled = CodePair.from_json({**pair.to_json(), "idiomatic_source": "r_0 = 1\n"})
+    assert filled.halves() == (pair.non_idiomatic_source, "r_0 = 1\n")
 
 
 def test_setup_for_size_regenerates():
